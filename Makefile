@@ -8,7 +8,7 @@
 
 PY := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) PYTHONHASHSEED=0 python
 
-.PHONY: test test-par smoke chaos bench bench-fleet bench-replay bench-reporting bench-memory bench-serve bench-kernels bench-parallel lint format install
+.PHONY: test test-par smoke chaos perfbench bench bench-fleet bench-replay bench-reporting bench-memory bench-serve bench-kernels bench-parallel lint format install
 
 # tier-1: the full suite (the driver's acceptance gate)
 test:
@@ -36,6 +36,17 @@ chaos:
 		$(PY) -m pytest tests/sim/test_parallel.py tests/sim/test_shm.py \
 		tests/sim/test_worker_invariance.py -q
 	$(PY) benchmarks/chaos_summary.py
+
+# the pipeline benchmark's own checks: its tracer tests, then one short
+# untraced run of every workload; run.py exits non-zero when a result
+# check fails (its result line then reads `correct: false`)
+PERFBENCH_WORKLOADS := fig4_synthetic fig6_multilabel serve_churn
+
+perfbench:
+	python3 -m pytest perfbench/tests -q
+	for w in $(PERFBENCH_WORKLOADS); do \
+		python3 perfbench/run.py --workload $$w --seed 0 --seconds 1 --trace 0 || exit 1; \
+	done
 
 # all paper-figure benches; seeded throughout, writes only into
 # benchmarks/results/ (*.txt tables + BENCH_*.json perf records)

@@ -60,15 +60,14 @@ def to_grid_integers(x: np.ndarray, q: int) -> np.ndarray:
     floors = np.floor(scaled).astype(np.int64)
     remainders = scaled - floors
     deficit = scale - floors.sum(axis=1)
-    # hand the missing units to the largest remainders, ties by index
+    # hand the missing units to the largest remainders, ties by index:
+    # an entry gains one unit when its rank in the stable descending
+    # order is below its row's deficit (a negative deficit, impossible
+    # after floor, would take one unit from the ``-deficit`` last-ranked)
     order = np.argsort(-remainders, axis=1, kind="stable")
-    out = floors
-    for i in range(out.shape[0]):
-        need = int(deficit[i])
-        if need > 0:
-            out[i, order[i, :need]] += 1
-        elif need < 0:  # pragma: no cover - cannot happen after floor
-            out[i, order[i, need:]] -= 1
+    rank = order.argsort(axis=1)  # inverse permutation: entry -> its rank
+    need = deficit[:, None]
+    out = floors + (rank < need) - (rank >= order.shape[1] + need)
     return out[0] if squeeze else out
 
 

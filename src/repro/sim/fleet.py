@@ -78,19 +78,21 @@ What stays per-agent Python (all O(1) per agent per round):
   batch encodings, actions/rewards from the result matrices — into a
   per-shard :class:`~repro.core.payload.ReportLog`; agent outboxes
   reference their rows and materialize objects only if the object API
-  is touched;
-* context encoding on *cache miss* — encoders are deterministic (the
-  ``eps_bar = 0`` premise), so re-encoding an unchanged context is pure
-  waste; each shard memoizes per agent and only calls the scalar
-  ``encode`` when the context actually changes.  Fixed-preference
-  populations (the paper's synthetic benchmark) therefore encode once
-  per agent total — and *traced* shards skip per-round encoding
-  entirely by batch-encoding the whole horizon at plan time
-  (:meth:`Encoder.encode_batch` is row-exact by contract).
+  is touched.  Drifting stationary shards record columnar as well: each
+  drift boundary opens a new context epoch, and payload gathers look a
+  step's context/code up in its epoch.
 
 Everything O(d²)–O(k·d²) — scoring, Cholesky refreshes,
 Sherman–Morrison updates — runs as stacked kernel calls, one set per
-shard per round.
+shard per round.  Context encoding is batched too, and only runs on a
+cache miss: encoders are deterministic (the ``eps_bar = 0`` premise),
+so each shard keeps an ``(n, d)`` context cache, finds changed rows
+with one vectorized compare and re-encodes just those with one
+:meth:`Encoder.encode_batch` call per encoder group (row-exact against
+scalar ``encode`` by contract).  Fixed-preference populations (the
+paper's synthetic benchmark) therefore encode once per agent total,
+drifting ones once per agent per epoch, and *traced* shards encode
+the whole horizon at plan time.  No plan path calls scalar ``encode``.
 
 Parallel shard stepping
 -----------------------
@@ -374,10 +376,11 @@ class _Shard:
         self._plan_form = plan_form
         # acting-representation caches (warm-private only) — persist
         # across runs: encoders are deterministic, and _refresh_acting
-        # validates each entry against the live context
-        self._cached_ctx: list[np.ndarray | None] = [None] * self.n
-        self._cached_code = np.empty(self.n, dtype=np.intp)
-        self._cached_rep: list[np.ndarray | None] = [None] * self.n
+        # validates every row against the live context in one compare
+        self._cached_ctx: np.ndarray | None = None  # (n, d) encoded contexts
+        self._cached_ok = np.zeros(self.n, dtype=bool)  # row holds a valid entry
+        self._cached_code = np.zeros(self.n, dtype=np.intp)
+        self._cached_rep: np.ndarray | None = None  # (n, d) centroids
         # deterministic encoder-group caches (persist across runs)
         self._enc_groups: list[np.ndarray] | None = None
         self._agent_group: np.ndarray | None = None
@@ -425,6 +428,13 @@ class _Shard:
         self._plan_means: np.ndarray | None = None
         self._plan_noise: np.ndarray | None = None
         self._plan_acting: np.ndarray | None = None
+        # stationary context epochs of this run: every context gather
+        # (step 0, then each drift-capped chunk) with its first global
+        # step and, warm-private, its codes — the columnar report and
+        # buffer gathers look a step's context up here
+        self._epoch_starts: list[int] = []
+        self._epoch_ctx: list[np.ndarray] = []
+        self._epoch_codes: list[np.ndarray | None] = []
         # whether any session's stationarity expires mid-horizon
         # (drifting sessions): chunks then re-gather means/contexts
         self._plan_limited = False
@@ -447,8 +457,7 @@ class _Shard:
         self._hist_len = 0
         self._hist_ctx: np.ndarray | None = None
         self._hist_codes: np.ndarray | None = None
-        # columnar reporting state (plan-capable shards only)
-        self._batch_recording = False
+        # columnar reporting state (every plan path records columnar)
         self._horizon = 0
         self._base_inter: np.ndarray | None = None
         self._reward_acc: np.ndarray | None = None
@@ -535,14 +544,9 @@ class _Shard:
             # per-dataset tables
             self._trace_rows = np.empty((self.n, n_interactions), dtype=np.intp)
             self._init_row_encodings()
-        if not (path == "stationary" and self._plan_limited):
-            # drifting stationary shards keep the scalar
-            # record_interaction path: the columnar payload gather
-            # assumes one fixed context/code per agent, which drift
-            # breaks at epoch boundaries — recording per step with the
-            # current chunk's context is exact (within a chunk the
-            # context is constant by construction)
-            self._init_batch_recording(n_interactions)
+        # every plan path records columnar; a drifting stationary shard
+        # opens a new context epoch at each drift boundary (_push_epoch)
+        self._init_batch_recording()
         self._init_history()
         self._materialize_chunk(0)
 
@@ -574,14 +578,18 @@ class _Shard:
         """Shard-local agent indices grouped by encoder object (cached).
 
         Shards only guarantee equal codebook *size*, so batch encodings
-        group agents by the encoder they actually hold; both trace
-        forms — and every chunk — reuse this one grouping.
+        group agents by the encoder they actually hold; every plan path
+        — and every chunk — reuses this one grouping.  Also fills
+        ``_agent_group`` (each agent's group index).
         """
         if self._enc_groups is None:
             groups: dict[int, list[int]] = {}
             for j in range(self.n):
                 groups.setdefault(id(self.agents[j].encoder), []).append(j)
             self._enc_groups = [np.asarray(m, dtype=np.intp) for m in groups.values()]
+            self._agent_group = np.empty(self.n, dtype=np.intp)
+            for g, members in enumerate(self._enc_groups):
+                self._agent_group[members] = g
         return self._enc_groups
 
     def _init_row_encodings(self) -> None:
@@ -598,11 +606,7 @@ class _Shard:
             and self._row_codes_table == id(self._row_table)
         ):
             return  # persistent reuse: rows already encoded stay encoded
-        groups = self._encoder_groups()
-        self._agent_group = np.empty(self.n, dtype=np.intp)
-        for g, members in enumerate(groups):
-            self._agent_group[members] = g
-        shape = (len(groups), self._row_table.n_rows)
+        shape = (len(self._encoder_groups()), self._row_table.n_rows)
         self._row_codes = np.zeros(shape, dtype=np.intp)
         self._row_encoded = np.zeros(shape, dtype=bool)
         self._row_codes_table = id(self._row_table)
@@ -619,8 +623,9 @@ class _Shard:
         in-run steps), so retaining ``max(window) - 1`` trailing steps
         of context/codes bridges every chunk boundary.  Indexed shards
         regenerate any step from the full row walk plus the shared
-        tables; stationary contexts never change; cold shards never
-        report — none of them need a tail.
+        tables; stationary shards keep each context epoch of the run
+        (:meth:`_push_epoch`); cold shards never report — none of them
+        need a tail.
         """
         self._hist_len = 0
         if self._plan_path != "dense" or self._chunk >= self._horizon:
@@ -666,6 +671,7 @@ class _Shard:
                 self._X = np.stack([p.context for p in plans])
                 self._plan_means = np.stack([p.mean_rewards for p in plans])  # (n, A)
                 self._plan_acting = self._refresh_acting(self._X)
+                self._push_epoch(start)
         elif self._plan_path == "indexed":
             rows = np.stack(
                 [s.plan_trace_indexed(length).rows for s in self.sessions]
@@ -712,6 +718,24 @@ class _Shard:
             if self.mode == AgentMode.WARM_PRIVATE:
                 self._precompute_trace_codes()
 
+    def _push_epoch(self, start: int) -> None:
+        """Record the stationary contexts (and codes) in force from ``start``.
+
+        A report or a rebuilt buffer item reads at most
+        ``max(window) - 1`` steps back, so epochs that ended before
+        ``start`` minus that lookback are never read again and are
+        dropped: a drifting shard holds a bounded number of epochs,
+        a non-drifting one exactly one.
+        """
+        self._epoch_starts.append(start)
+        self._epoch_ctx.append(self._X)
+        self._epoch_codes.append(
+            self._cached_code.copy() if self.mode == AgentMode.WARM_PRIVATE else None
+        )
+        lookback = 0 if self._part is None else int(self._part.window.max()) - 1
+        while len(self._epoch_starts) > 1 and self._epoch_starts[1] <= start - lookback:
+            del self._epoch_starts[0], self._epoch_ctx[0], self._epoch_codes[0]
+
     def _roll_history(self) -> None:
         """Retain the chunk tail needed across the boundary (dense only)."""
         if self._hist_len <= 0:
@@ -748,21 +772,19 @@ class _Shard:
                 self._row_reps[g, new] = encoder.decode_batch(codes)
             self._row_encoded[g, new] = True
 
-    def _init_batch_recording(self, n_interactions: int) -> None:
+    def _init_batch_recording(self) -> None:
         """Switch this shard's reporting pipeline to the columnar path.
 
-        Plan-capable shards keep their whole context history in arrays
-        (fixed plan contexts or the trace tensor), so the sampled
-        window item of any report is a pure gather — the per-agent
-        ``record_interaction`` loop is replaced by
-        :class:`StackedParticipation` masks plus per-round appends into
-        a :class:`~repro.core.payload.ReportLog` the agents' outboxes
-        reference.  Counters (``n_interactions``, ``total_reward``)
-        accumulate in shard arrays, written back by :meth:`finish` in
-        the scalar accumulation order.
+        Plan-capable shards keep their context history in arrays (the
+        stationary context epochs, the trace tensor or the row walk),
+        so the sampled window item of any report is a pure gather —
+        the per-agent ``record_interaction`` loop is replaced by
+        :class:`StackedParticipation` masks plus per-round appends
+        into a :class:`~repro.core.payload.ReportLog` the agents'
+        outboxes reference.  Counters (``n_interactions``,
+        ``total_reward``) accumulate in shard arrays, written back by
+        :meth:`finish` in the scalar accumulation order.
         """
-        self._batch_recording = True
-        self._horizon = n_interactions
         self._base_inter = np.array([a.n_interactions for a in self.agents], dtype=np.intp)
         self._reward_acc = np.array([a.total_reward for a in self.agents], dtype=np.float64)
         if self.mode == AgentMode.COLD:
@@ -835,9 +857,9 @@ class _Shard:
 
         ``per_agent`` counts arrays scaling with ``n_agents x steps``
         (dense trace blocks, history tails, row walks, stationary
-        noise); ``shared`` counts per-dataset arrays whose size is
-        independent of the population (the row table and the per-row
-        code/centroid tables).  The memory bench
+        noise and context epochs); ``shared`` counts per-dataset
+        arrays whose size is independent of the population (the row
+        table and the per-row code/centroid tables).  The memory bench
         (``benchmarks/bench_memory.py``) records both; the
         shared-row-table claim is their ratio.
 
@@ -862,6 +884,8 @@ class _Shard:
             arrays += [self._X, self._plan_means]
             if self._plan_acting is not self._X:  # aliased when acting on raw contexts
                 arrays.append(self._plan_acting)
+            # earlier context epochs (the last one is _X) and epoch codes
+            arrays += self._epoch_ctx[:-1] + self._epoch_codes
         per_agent = sum(a.nbytes for a in arrays if a is not None)
         shared = 0
         if self._row_table is not None:
@@ -972,7 +996,7 @@ class _Shard:
 
         # reporting pipeline: columnar for plan-capable shards, the
         # scalar record_interaction loop otherwise
-        if self._batch_recording:
+        if self._plan_path is not None:
             self._record_batch(t, acts, r, rewards, actions)
         else:
             for j in range(self.n):
@@ -1027,17 +1051,25 @@ class _Shard:
             payload[fresh] = self._contexts_at(f_rows, f_t)
         if not fresh.all():
             # rare first-boundary case: the sampled item predates this
-            # run and lives in the scalar buffer prefix — resolve it
-            # exactly as the scalar path would (encode at report time)
-            for i in np.nonzero(~fresh)[0]:
-                j = int(rows[i])
-                ctx, action, reward = self._pre_buffers[j][int(within[j])]
-                acts_s[i] = int(action)
-                rew_s[i] = float(reward)
-                if self.mode == AgentMode.WARM_PRIVATE:
-                    payload[i] = self.agents[j].encoder.encode(ctx)
-                else:
-                    payload[i] = np.asarray(ctx, dtype=np.float64)
+            # run and lives in the scalar buffer prefix — encode it at
+            # report time as the scalar path does, batched per encoder
+            old = np.nonzero(~fresh)[0]
+            items = [
+                self._pre_buffers[j][w]
+                for j, w in zip(rows[old].tolist(), within[rows[old]].tolist())
+            ]
+            acts_s[old] = [action for _, action, _ in items]
+            rew_s[old] = [reward for _, _, reward in items]
+            ctxs = np.stack([np.asarray(ctx, dtype=np.float64) for ctx, _, _ in items])
+            if self.mode == AgentMode.WARM_PRIVATE:
+                groups = self._encoder_groups()
+                owner = self._agent_group[rows[old]]
+                for g in np.unique(owner):
+                    hit = owner == g
+                    encoder = self.agents[groups[g][0]].encoder
+                    payload[old[hit]] = encoder.encode_batch(ctxs[hit])
+            else:
+                payload[old] = ctxs
         self._log.append(rows, payload, acts_s, rew_s, inter_idx)
 
     def finish(self, rewards: np.ndarray, actions: np.ndarray) -> None:
@@ -1049,7 +1081,7 @@ class _Shard:
         (rebuilt from the plan context history so a later object-path
         round continues identically).
         """
-        if not self._batch_recording:
+        if self._plan_path is None:
             return
         T = self._horizon
         for j, agent in enumerate(self.agents):
@@ -1058,23 +1090,21 @@ class _Shard:
         if self._part is None:
             return
         self._part.writeback()
+        # agent j's live items are its last new_buffered[j] steps; one
+        # gather serves every agent's items
+        n_new = self._part.new_buffered
+        ends = np.cumsum(n_new)
+        owner = np.repeat(self._rows, n_new)
+        steps = T - (ends[owner] - np.arange(owner.size))
+        ctx = np.asarray(self._contexts_at(owner, steps), dtype=np.float64)
+        cols = self._col(steps)
+        acts = actions[self.indices[owner], cols].tolist()
+        rews = rewards[self.indices[owner], cols].tolist()
         for j, agent in enumerate(self.agents):
-            part = agent.participation
-            n_new = int(self._part.new_buffered[j])
             buf: list = [] if self._part.flipped[j] else list(self._pre_buffers[j])
-            if n_new:
-                g = int(self.indices[j])
-                steps = np.arange(T - n_new, T)
-                ctx_rows = self._contexts_at(np.full(n_new, j, dtype=np.intp), steps)
-                for i, t in enumerate(steps):
-                    buf.append(
-                        (
-                            np.asarray(ctx_rows[i], dtype=np.float64).copy(),
-                            int(actions[g, self._col(t)]),
-                            float(rewards[g, self._col(t)]),
-                        )
-                    )
-            part._buffer = buf
+            for i in range(int(ends[j] - n_new[j]), int(ends[j])):
+                buf.append((ctx[i].copy(), acts[i], rews[i]))
+            agent.participation._buffer = buf
 
     # ------------------------------------------------------------------ #
     def _next_contexts(self) -> np.ndarray:
@@ -1138,9 +1168,9 @@ class _Shard:
         step, any chunk), dense traced shards read the current chunk
         block or its history tail (a window straddling the boundary
         looks back at most ``window - 1 <= hist_len`` steps), and
-        stationary shards read the per-agent encode cache (contexts are
-        fixed, so the cached code *is* the step's code).  Codes are
-        never re-encoded on any path.
+        stationary shards read the codes of the step's context epoch
+        (:meth:`_push_epoch`; contexts are fixed within an epoch).
+        Codes are never re-encoded on any path.
         """
         if self.indexed:
             return self._row_codes[
@@ -1157,7 +1187,7 @@ class _Shard:
                     agent_rows[past], self._hist_codes.shape[1] + loc[past]
                 ]
             return out
-        return self._cached_code[agent_rows]
+        return self._epoch_gather(self._epoch_codes, agent_rows, steps)
 
     def _contexts_at(self, agent_rows: np.ndarray, steps: np.ndarray) -> np.ndarray:
         """Raw contexts of ``(shard-local agent, global step)`` pairs.
@@ -1178,43 +1208,65 @@ class _Shard:
                     agent_rows[past], self._hist_ctx.shape[1] + loc[past]
                 ]
             return out
-        return self._X[agent_rows]
+        return self._epoch_gather(self._epoch_ctx, agent_rows, steps)
+
+    def _epoch_gather(
+        self, blocks: list[np.ndarray], agent_rows: np.ndarray, steps: np.ndarray
+    ) -> np.ndarray:
+        """``blocks[epoch of step][agent]`` for each pair (stationary shards)."""
+        epoch = np.searchsorted(self._epoch_starts, steps, side="right") - 1
+        out = np.empty((agent_rows.size, *blocks[-1].shape[1:]), dtype=blocks[-1].dtype)
+        for e in np.unique(epoch):
+            hit = epoch == e
+            out[hit] = blocks[e][agent_rows[hit]]
+        return out
 
     def _refresh_acting(self, X: np.ndarray) -> np.ndarray:
+        """Acting representation for contexts ``X``, re-encoding changed rows.
+
+        One vectorized row compare against the cached contexts finds
+        the stale agents — every row on first sight (or when the
+        context shape changes), otherwise exactly the agents whose
+        context moved.
+        """
         if self.mode != AgentMode.WARM_PRIVATE:
             return X
-        stale = np.asarray(
-            [
-                j
-                for j in range(self.n)
-                if self._cached_ctx[j] is None
-                or not np.array_equal(X[j], self._cached_ctx[j])
-            ],
-            dtype=np.intp,
-        )
+        cache = self._cached_ctx
+        if cache is None or cache.shape != X.shape or cache.dtype != X.dtype:
+            self._cached_ctx = np.zeros_like(X)
+            self._cached_ok[:] = False
+        stale = ~self._cached_ok | (X != self._cached_ctx).any(axis=1)
         return self._acting_representation(X, stale)
 
     def _acting_representation(self, X: np.ndarray, stale: np.ndarray) -> np.ndarray:
         """The representation the stacked policy consumes for contexts ``X``.
 
-        ``stale`` lists shard-local agent indices whose cached encoding
-        must be refreshed (all of them on the first call).  Encoders are
-        deterministic — the ``eps_bar = 0`` premise — so serving a code
-        from cache is exact, not approximate.
+        ``stale`` masks the agents whose cached encoding must be
+        refreshed; they are encoded with one ``encode_batch`` call per
+        encoder group (row-exact against scalar ``encode`` by
+        contract).  Encoders are deterministic — the ``eps_bar = 0``
+        premise — so serving a code from cache is exact, not
+        approximate.
         """
-        if self.mode != AgentMode.WARM_PRIVATE:
-            return X
-        for j in stale:
-            j = int(j)
-            self._cached_ctx[j] = X[j].copy()
-            encoder = self.agents[j].encoder
-            self._cached_code[j] = encoder.encode(X[j])
-            if self.private_context == "centroid":
-                self._cached_rep[j] = encoder.decode(int(self._cached_code[j]))
+        if stale.any():
+            self._cached_ctx[stale] = X[stale]
+            self._cached_ok[stale] = True
+            for members in self._encoder_groups():
+                rows = members[stale[members]]
+                if rows.size == 0:
+                    continue
+                encoder = self.agents[members[0]].encoder
+                codes = encoder.encode_batch(X[rows])
+                self._cached_code[rows] = codes
+                if self.private_context == "centroid":
+                    reps = encoder.decode_batch(codes)
+                    if self._cached_rep is None:
+                        self._cached_rep = np.zeros((self.n, reps.shape[1]), dtype=reps.dtype)
+                    self._cached_rep[rows] = reps
         if self.stacked.wants_codes:
             return self._cached_code
         if self.private_context == "centroid":
-            return np.stack(self._cached_rep)
+            return self._cached_rep
         return self.agents[0].encoder.one_hot_batch(self._cached_code)  # type: ignore[union-attr]
 
 

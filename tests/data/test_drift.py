@@ -5,7 +5,10 @@ the stationary plan contract, and at every boundary one uniform coin
 picks switch vs drift.  The fleet engine joins via
 ``plan_horizon_limit()`` — chunks are capped at the earliest boundary —
 so drifting fleet runs must stay bit-identical to the sequential loop
-for every chunk size.
+for every chunk size.  Warm populations also report: their columnar
+payloads and rebuilt participation buffers must match the scalar
+``record_interaction`` path, with report windows straddling epoch
+boundaries, chunk boundaries and run (request) boundaries.
 """
 
 from __future__ import annotations
@@ -15,8 +18,11 @@ import pytest
 
 from repro.bandits.linucb import LinUCB
 from repro.core.agent import LocalAgent
-from repro.core.config import AgentMode
+from repro.core.config import AgentMode, P2BConfig
+from repro.core.participation import RandomizedParticipation
 from repro.data import DriftingSyntheticEnvironment
+from repro.encoding.kmeans_encoder import KMeansEncoder
+from repro.experiments import FleetService
 from repro.sim import FleetRunner
 from repro.utils.exceptions import ValidationError
 from repro.utils.rng import spawn_seeds
@@ -180,3 +186,127 @@ class TestFleetBitIdentity:
             2 * EPOCH
         )
         np.testing.assert_array_equal(seq_rewards, result.rewards)
+
+
+@pytest.fixture(scope="module")
+def codebook():
+    return KMeansEncoder(n_codes=8, n_features=N_FEATURES, n_fit_samples=600, seed=3).fit()
+
+
+def _warm_population(mode, seed, encoder, *, private_context="one-hot", n_agents=16):
+    """Reporting agents on drifting users: window 4 straddles the
+    epoch-6 boundaries, and the budget of 3 exhausts some agents."""
+    env = _env()
+    acting_dim = (
+        encoder.n_codes
+        if mode == AgentMode.WARM_PRIVATE and private_context == "one-hot"
+        else N_FEATURES
+    )
+    agents, sessions = [], []
+    for i, s in enumerate(spawn_seeds(seed, n_agents)):
+        policy_seed, part_seed, session_seed = s.spawn(3)
+        agents.append(
+            LocalAgent(
+                f"agent-{i}",
+                LinUCB(n_arms=N_ACTIONS, n_features=acting_dim, alpha=1.0, seed=policy_seed),
+                mode=mode,
+                encoder=encoder if mode == AgentMode.WARM_PRIVATE else None,
+                participation=RandomizedParticipation(
+                    p=0.8, window=4, max_reports=3, seed=part_seed
+                ),
+                private_context=private_context,
+            )
+        )
+        sessions.append(env.new_user(session_seed))
+    return agents, sessions
+
+
+def _assert_agents_identical(seq_agents, fleet_agents):
+    """Policy state, counters, participation and outbox, bit for bit."""
+    for a, b in zip(seq_agents, fleet_agents):
+        state_a, state_b = a.policy.get_state(), b.policy.get_state()
+        for key in state_a:
+            np.testing.assert_array_equal(
+                np.asarray(state_a[key]), np.asarray(state_b[key]), err_msg=key
+            )
+        assert a.n_interactions == b.n_interactions
+        assert a.total_reward == b.total_reward
+        pa, pb = a.participation, b.participation
+        assert (pa.reports_sent, pa.windows_seen) == (pb.reports_sent, pb.windows_seen)
+        assert len(pa._buffer) == len(pb._buffer)
+        for (ctx_a, act_a, rew_a), (ctx_b, act_b, rew_b) in zip(pa._buffer, pb._buffer):
+            np.testing.assert_array_equal(ctx_a, ctx_b)
+            assert (act_a, rew_a) == (act_b, rew_b)
+        box_a, box_b = a.outbox, b.outbox
+        assert len(box_a) == len(box_b)
+        for ra, rb in zip(box_a, box_b):
+            assert type(ra) is type(rb)
+            if hasattr(ra, "code"):
+                assert ra.code == rb.code
+            else:
+                np.testing.assert_array_equal(ra.context, rb.context)
+            assert (ra.action, ra.reward) == (rb.action, rb.reward)
+            assert ra.metadata == rb.metadata
+
+
+WARM_SETTINGS = [
+    (AgentMode.WARM_PRIVATE, "one-hot"),
+    (AgentMode.WARM_PRIVATE, "centroid"),
+    (AgentMode.WARM_NONPRIVATE, "one-hot"),
+]
+
+
+class TestWarmDriftingFleet:
+    """Reporting populations on drifting users record columnar, exactly."""
+
+    @pytest.mark.parametrize("mode,private_context", WARM_SETTINGS)
+    @pytest.mark.parametrize("chunk", [None, 1, 4, EPOCH, 64])
+    def test_fleet_matches_sequential(self, codebook, mode, private_context, chunk):
+        # two runs of 11 steps: 11 is no multiple of the window, so the
+        # second run's first window also samples items buffered by the
+        # first; epochs turn at 6, 12 and 18
+        seq_agents, seq_sessions = _warm_population(
+            mode, 31, codebook, private_context=private_context
+        )
+        fleet_agents, fleet_sessions = _warm_population(
+            mode, 31, codebook, private_context=private_context
+        )
+        seq_rewards = _sequential(seq_agents, seq_sessions, 22)
+        fleet = FleetRunner(fleet_agents, fleet_sessions, plan_chunk_size=chunk)
+        first = fleet.run(11)
+        second = fleet.run(11)
+
+        np.testing.assert_array_equal(
+            seq_rewards, np.concatenate([first.rewards, second.rewards], axis=1)
+        )
+        _assert_agents_identical(seq_agents, fleet_agents)
+        assert any(a.participation.reports_sent for a in fleet_agents)
+
+    def test_service_requests_straddle_report_windows(self, codebook):
+        """A FleetService's requests of 4 steps cut windows of 3 and
+        epochs of 5 at different places; every report stays exact."""
+        config = P2BConfig(
+            n_actions=N_ACTIONS,
+            n_features=N_FEATURES,
+            n_codes=8,
+            window=3,
+            max_reports_per_user=4,
+            shuffler_threshold=2,
+        )
+
+        def service():
+            env = _env(epoch_length=5)
+            return FleetService(config, env, seed=5)
+
+        served = service()
+        served_agents = served.arrive(6)
+        results = [served.interact(4) for _ in range(4)]
+
+        twin = service()
+        twin_agents = twin.arrive(6)
+        seq_rewards = _sequential(twin_agents, twin.fleet.sessions, 16)
+
+        np.testing.assert_array_equal(
+            seq_rewards, np.concatenate([r.rewards for r in results], axis=1)
+        )
+        _assert_agents_identical(twin_agents, served_agents)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -50,6 +51,56 @@ class TestToGridIntegers:
         out = to_grid_integers(x, q)
         assert out.sum() == 10**q
         assert (out >= 0).all()
+
+
+def _loop_grid_integers(x: np.ndarray, q: int) -> np.ndarray:
+    """The per-row largest-remainder loop, kept as the reference."""
+    from repro.utils.math import normalize_simplex
+
+    scale = 10**q
+    arr = normalize_simplex(np.atleast_2d(np.asarray(x, dtype=np.float64)), axis=1)
+    scaled = arr * scale
+    out = np.floor(scaled).astype(np.int64)
+    deficit = scale - out.sum(axis=1)
+    order = np.argsort(-(scaled - out), axis=1, kind="stable")
+    for i in range(out.shape[0]):
+        need = int(deficit[i])
+        if need > 0:
+            out[i, order[i, :need]] += 1
+        elif need < 0:
+            out[i, order[i, need:]] -= 1
+    return out
+
+
+class TestVectorizedDeficit:
+    """The vectorized deficit hand-out equals the per-row loop bit for bit."""
+
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_random_rows(self, q):
+        X = np.random.default_rng(q).dirichlet(np.ones(10), size=500)
+        np.testing.assert_array_equal(to_grid_integers(X, q), _loop_grid_integers(X, q))
+
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_tie_heavy_rows(self, q):
+        # equal remainders everywhere: ties resolve by index in both
+        rng = np.random.default_rng(10 + q)
+        X = rng.integers(1, 4, size=(300, 7)).astype(np.float64)
+        X[:50] = 1.0
+        np.testing.assert_array_equal(to_grid_integers(X, q), _loop_grid_integers(X, q))
+
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_rows_already_on_grid(self, q):
+        scale = 10**q
+        rng = np.random.default_rng(20 + q)
+        counts = rng.multinomial(scale, np.full(6, 1 / 6), size=200)
+        X = counts / scale
+        out = to_grid_integers(X, q)
+        np.testing.assert_array_equal(out, _loop_grid_integers(X, q))
+        np.testing.assert_array_equal(out, counts)
+
+    def test_single_vector(self):
+        x = np.array([0.15, 0.15, 0.7])
+        np.testing.assert_array_equal(to_grid_integers(x, 1), _loop_grid_integers(x, 1)[0])
 
 
 class TestQuantizeSimplex:
