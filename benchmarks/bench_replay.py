@@ -6,7 +6,7 @@ rows — exactly the workloads the fleet engine could not vectorize
 before the trace-plan fast path: dataset sessions fell back to the
 generic per-round Python session loop.  With ``has_trace_plan``
 sessions the engine pre-materializes each agent's row walk
-(:meth:`~repro.data.environment.UserSession.plan_trace`), batch-encodes
+(:meth:`~repro.data.environment.ReplayUserSession.plan_trace_indexed`), batch-encodes
 whole horizons for warm-private shards, and turns per-round session +
 encode calls into array gathers.
 

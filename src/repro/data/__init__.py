@@ -11,11 +11,10 @@ from .criteo import (
 from .drift import DriftingSyntheticEnvironment, DriftingSyntheticSession
 from .environment import (
     Environment,
-    IndexedTracePlan,
     ReplayUserSession,
     StationaryRewardPlan,
-    TracePlan,
     TraceRowTable,
+    TraceWalk,
     UserSession,
 )
 from .multilabel import (
@@ -34,9 +33,8 @@ __all__ = [
     "UserSession",
     "ReplayUserSession",
     "StationaryRewardPlan",
-    "TracePlan",
     "TraceRowTable",
-    "IndexedTracePlan",
+    "TraceWalk",
     "SyntheticPreferenceEnvironment",
     "SyntheticUserSession",
     "DriftingSyntheticEnvironment",

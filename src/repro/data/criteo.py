@@ -289,14 +289,10 @@ class CriteoUserSession(ReplayUserSession):
     deterministic row lookups, so the session is traceable for the
     fleet engine (``has_trace_plan`` via :class:`ReplayUserSession`):
     row ``i``'s reward table is the one-hot of the logged action,
-    zeroed when the impression was not clicked.  The one-hot expansion
-    is also available as a shared per-dataset row table
-    (``has_indexed_trace_plan``) — materialized once per dataset (a
-    boolean ``(n, A)`` view of ``actions``/``clicked``) instead of once
-    per agent per step.
+    zeroed when the impression was not clicked — a shared per-dataset
+    row table materialized once per dataset (a boolean ``(n, A)`` view
+    of ``actions``/``clicked``) instead of once per agent per step.
     """
-
-    has_indexed_trace_plan = True
 
     def __init__(
         self, dataset: CriteoBanditDataset, indices: np.ndarray, rng: np.random.Generator
@@ -307,18 +303,12 @@ class CriteoUserSession(ReplayUserSession):
     def _context_rows(self, rows: np.ndarray) -> np.ndarray:
         return self._dataset.X[rows]
 
-    def _reward_rows(self, rows: np.ndarray) -> np.ndarray:
-        d = self._dataset
-        one_hot = d.actions[rows, None] == np.arange(d.n_actions)[None, :]
-        return one_hot & d.clicked[rows, None]
-
     def _row_table_owner(self):
         return self._dataset
 
     def _build_row_table(self) -> TraceRowTable:
-        # the same expression as _reward_rows, evaluated once over the
-        # whole stream (bit-identical per row by construction); expected
-        # rewards coincide with realized ones for logged data
+        # reward() per row, evaluated once over the whole stream;
+        # expected rewards coincide with realized ones for logged data
         d = self._dataset
         one_hot = d.actions[:, None] == np.arange(d.n_actions)[None, :]
         rewards = one_hot & d.clicked[:, None]

@@ -22,30 +22,28 @@ Plan capabilities
 
 The fleet engine (:mod:`repro.sim`) collapses per-round session calls
 into array gathers when a session can pre-materialize its horizon.
-Three plan kinds exist, advertised by class-level capability flags so
+Two plan kinds exist, advertised by class-level capability flags so
 subclasses inherit fast-path eligibility (the engine keys off the
 flags, never off method identity):
 
 * ``has_reward_plan`` → :meth:`UserSession.plan_rewards` returns a
   :class:`StationaryRewardPlan` (fixed context, pre-drawn noise —
   the synthetic benchmark);
-* ``has_trace_plan`` → :meth:`UserSession.plan_trace` returns a
-  :class:`TracePlan` (per-step contexts plus a per-step-per-action
-  reward table — dataset replay: multilabel, Criteo);
-* ``has_indexed_trace_plan`` → :meth:`ReplayUserSession.plan_trace_indexed`
-  returns an :class:`IndexedTracePlan` — the *shared-row-table* form
-  of a trace plan: a per-agent ``(horizon,)`` row-index walk into one
-  per-dataset :class:`TraceRowTable` that every session over the same
-  dataset shares.  Same realized values as :meth:`plan_trace`, A-fold
-  less memory per agent (the reward table is stored once per dataset,
-  not once per agent per step).
+* ``has_trace_plan`` → :meth:`ReplayUserSession.plan_trace_indexed`
+  returns a :class:`TraceWalk` (dataset replay: multilabel,
+  Criteo): a per-agent ``(horizon,)`` row-index walk into one
+  per-dataset :class:`TraceRowTable` of contexts and per-action
+  rewards that every session over the same dataset shares — the
+  reward table is stored once per dataset, not once per agent per
+  step.
 
 Every plan must be an *exact* stand-in for ``horizon`` iterations of
 ``next_context()`` + ``reward()``: same values, same generator
 consumption, session left in the same state.  In particular, planning
-a horizon in consecutive slices (``plan_trace(c)`` called repeatedly —
-the fleet engine's ``plan_chunk_size``) must realize exactly the same
-walk as one full-horizon plan.  ``tests/sim`` pins all of this.
+a horizon in consecutive slices (``plan_trace_indexed(c)`` called
+repeatedly — the fleet engine's ``plan_chunk_size``) must realize
+exactly the same walk as one full-horizon plan.  ``tests/sim`` pins
+all of this.
 """
 
 from __future__ import annotations
@@ -64,9 +62,8 @@ __all__ = [
     "UserSession",
     "ReplayUserSession",
     "StationaryRewardPlan",
-    "TracePlan",
     "TraceRowTable",
-    "IndexedTracePlan",
+    "TraceWalk",
 ]
 
 #: serializes per-dataset row-table construction so every session —
@@ -103,68 +100,26 @@ class StationaryRewardPlan:
 
 
 @dataclass(frozen=True)
-class TracePlan:
-    """Pre-materialized replay horizon for a dataset-backed session.
-
-    Produced by :meth:`UserSession.plan_trace` for sessions whose
-    per-step reward is a *deterministic lookup* given the step's
-    dataset row (multilabel: the label row; Criteo: logged action +
-    click).  The realized reward of action ``a`` at step ``t`` is
-    ``action_rewards[t, a]``; no randomness remains after the row walk
-    is materialized, so any generator consumption (reshuffles of the
-    sample walk) happens *during planning*, leaving the session's
-    stream exactly where ``horizon`` sequential ``next_context()``
-    calls would have left it.
-
-    ``action_rewards`` may use any dtype whose values survive a cast
-    to ``float64`` unchanged (the engines gather then cast; dataset
-    rewards are 0/1 so boolean tables are the natural choice).
-    """
-
-    contexts: np.ndarray  #: per-step contexts, shape (horizon, d)
-    action_rewards: np.ndarray  #: realized reward per action per step, shape (horizon, A)
-    expected: np.ndarray | None = None  #: ground-truth channel, shape (horizon, A), or None
-
-    def __post_init__(self) -> None:
-        if self.contexts.ndim != 2 or self.action_rewards.ndim != 2:
-            raise DataError("contexts and action_rewards must be 2-D")
-        if self.contexts.shape[0] != self.action_rewards.shape[0]:
-            raise DataError(
-                f"contexts cover {self.contexts.shape[0]} steps but action_rewards "
-                f"covers {self.action_rewards.shape[0]}"
-            )
-        if self.expected is not None and self.expected.shape != self.action_rewards.shape:
-            raise DataError("expected must match action_rewards in shape")
-
-    @property
-    def horizon(self) -> int:
-        return self.contexts.shape[0]
-
-    def realize(self, actions: np.ndarray) -> np.ndarray:
-        """Realized rewards for one action per step, shape ``(horizon,)``."""
-        actions = np.asarray(actions, dtype=np.intp).ravel()
-        steps = np.arange(actions.shape[0])
-        return self.action_rewards[steps, actions].astype(np.float64)
-
-
-@dataclass(frozen=True)
 class TraceRowTable:
     """Per-dataset row tables shared by every session over one dataset.
 
-    The shared half of the *indexed* trace-plan form: row ``i`` holds
-    dataset row ``i``'s context and per-action realized-reward table,
-    so an agent's whole horizon is just a ``(horizon,)`` walk of row
-    indices into this table — the table itself is materialized **once
-    per dataset**, not once per agent, which is what cuts traced-plan
-    memory A-fold at population scale.
+    The shared half of a trace plan: row ``i`` holds dataset row
+    ``i``'s context and per-action realized-reward table, so an agent's
+    whole horizon is just a ``(horizon,)`` walk of row indices into
+    this table — the table itself is materialized **once per dataset**,
+    not once per agent, so traced-plan memory per agent is one integer
+    per step.
 
     The arrays may (and for replay datasets do) *alias* the dataset's
     own storage — building a table allocates nothing new beyond what
     the dataset already holds, except where a derived view is needed
-    (Criteo's one-hot-of-logged-action reward table).  ``expected``
-    follows the :class:`TracePlan` convention: for logged data it is
-    the realized table *by reference*, so consumers can detect the
-    aliasing and skip a second gather.
+    (Criteo's one-hot-of-logged-action reward table).  ``action_rewards``
+    may use any dtype whose values survive a cast to ``float64``
+    unchanged (the engines gather then cast; dataset rewards are 0/1,
+    so boolean tables are the natural choice).  ``expected`` is the
+    ground-truth channel; for logged data it is the realized table *by
+    reference*, so consumers can detect the aliasing and skip a second
+    gather.
     """
 
     contexts: np.ndarray  #: per-row contexts, shape (n_rows, d)
@@ -200,18 +155,20 @@ class TraceRowTable:
 
 
 @dataclass(frozen=True)
-class IndexedTracePlan:
-    """Shared-row-table form of a replay horizon.
+class TraceWalk:
+    """A replay horizon: a row-index walk over a shared row table.
 
-    Produced by :meth:`ReplayUserSession.plan_trace_indexed`.  Realizes
-    exactly the same values as the dense :class:`TracePlan` the same
-    walk would produce — ``contexts[t] == table.contexts[rows[t]]`` and
-    ``action_rewards[t] == table.action_rewards[rows[t]]`` by the
-    row-table contract — but the per-agent payload is only the
-    ``(horizon,)`` index walk; the tables live once per dataset.
-    Sessions over the same dataset return the *same* table object, so a
-    fleet shard can verify sharing by identity and gather every
-    context, reward and encoding through one table.
+    Produced by :meth:`ReplayUserSession.plan_trace_indexed`.  Step
+    ``t`` of the walk sees context ``table.contexts[rows[t]]`` and
+    realizes reward ``table.action_rewards[rows[t], a]`` for action
+    ``a`` — exactly what ``next_context()`` and ``reward(a)`` return at
+    that step of the sequential loop.  No randomness remains after the
+    walk is materialized: any generator consumption (reshuffles of the
+    sample walk) happens *during planning*.  The per-agent payload is
+    only the ``(horizon,)`` index walk; the tables live once per
+    dataset.  Sessions over the same dataset return the *same* table
+    object, so a fleet shard can verify sharing by identity and gather
+    every context, reward and encoding through one table.
     """
 
     rows: np.ndarray  #: per-step dataset row indices, shape (horizon,)
@@ -229,29 +186,6 @@ class IndexedTracePlan:
     def horizon(self) -> int:
         return self.rows.shape[0]
 
-    def densify(self) -> TracePlan:
-        """The equivalent dense per-agent :class:`TracePlan` (gathers).
-
-        Used by the fleet engine when sessions of one shard walk
-        *different* datasets (no single table to share); bit-identical
-        to what :meth:`ReplayUserSession.plan_trace` would have built
-        from the same walk.
-        """
-        rewards = self.table.action_rewards[self.rows]
-        if self.table.expected is None:
-            expected = None
-        elif self.table.expected is self.table.action_rewards:
-            # preserve the aliasing convention so densified plans keep
-            # the expected-equals-realized fast path
-            expected = rewards
-        else:
-            expected = self.table.expected[self.rows]
-        return TracePlan(
-            contexts=self.table.contexts[self.rows],
-            action_rewards=rewards,
-            expected=expected,
-        )
-
     def realize(self, actions: np.ndarray) -> np.ndarray:
         """Realized rewards for one action per step, shape ``(horizon,)``."""
         actions = np.asarray(actions, dtype=np.intp).ravel()
@@ -267,10 +201,9 @@ class UserSession(abc.ABC):
     #: dispatch keys off these (never off method identity), so
     #: subclasses that inherit a working plan stay on the fast path.
     has_reward_plan: bool = False  #: :meth:`plan_rewards` is implemented
-    has_trace_plan: bool = False  #: :meth:`plan_trace` is implemented
     #: :meth:`ReplayUserSession.plan_trace_indexed` is implemented —
-    #: the session's dataset exposes a shared :class:`TraceRowTable`
-    has_indexed_trace_plan: bool = False
+    #: the session walks a shared per-dataset :class:`TraceRowTable`
+    has_trace_plan: bool = False
 
     @abc.abstractmethod
     def next_context(self) -> np.ndarray:
@@ -319,18 +252,6 @@ class UserSession(abc.ABC):
         """
         return None
 
-    def plan_trace(self, horizon: int) -> TracePlan:
-        """Optional fleet fast path: pre-materialize a replay horizon.
-
-        For sessions that walk logged dataset rows with deterministic
-        per-row rewards (set ``has_trace_plan = True`` alongside).  The
-        same exactness contract as :meth:`plan_rewards` applies: the
-        materialized walk must consume the session's generator exactly
-        as ``horizon`` ``next_context()`` calls would, and leave the
-        session in the identical state.
-        """
-        raise NotImplementedError(f"{type(self).__name__} has no trace plan")
-
     def _require_context(self, current) -> None:
         if current is None:
             raise ValidationError("reward() called before next_context()")
@@ -346,21 +267,15 @@ class ReplayUserSession(UserSession):
     walk state is ``(_order, _cursor)`` plus the session's own
     generator, which is consumed *only* at reshuffles; rewards are
     deterministic row lookups, which is what makes the whole horizon
-    traceable (:meth:`plan_trace`) without perturbing any stream.
+    traceable (:meth:`plan_trace_indexed`) without perturbing any
+    stream.
 
     Subclasses provide the dataset views:
 
     * :meth:`_context_rows` — contexts of a block of dataset rows;
-    * :meth:`_reward_rows` — the per-action realized-reward table of a
-      block of rows (any dtype exact under ``float64`` cast);
-    * :meth:`_expected_rows` — the ground-truth channel (defaults to
-      the realized table: for logged data they coincide).
-
-    Subclasses whose views are pure *dataset-row* lookups additionally
-    opt into the shared-row-table plan form by setting
-    ``has_indexed_trace_plan = True`` and implementing
-    :meth:`_row_table_owner` + :meth:`_build_row_table`; see
-    :meth:`plan_trace_indexed`.
+    * :meth:`_row_table_owner` — the object (the dataset) the shared
+      row table is cached on;
+    * :meth:`_build_row_table` — the dataset's :class:`TraceRowTable`.
     """
 
     has_trace_plan = True
@@ -382,15 +297,12 @@ class ReplayUserSession(UserSession):
         """Contexts of dataset rows ``rows``, shape ``(len(rows), d)``."""
 
     @abc.abstractmethod
-    def _reward_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Per-action realized rewards of rows, shape ``(len(rows), A)``."""
+    def _row_table_owner(self):
+        """The object the cached row table lives on (the dataset)."""
 
-    def _expected_rows(self, rows: np.ndarray, reward_table: np.ndarray) -> np.ndarray:
-        """Ground-truth channel for ``rows``; ``reward_table`` is the
-        already-computed :meth:`_reward_rows` result.  For logged data
-        the two coincide, so the default returns it *by reference* —
-        the plan then carries no second table."""
-        return reward_table
+    @abc.abstractmethod
+    def _build_row_table(self) -> TraceRowTable:
+        """Construct the dataset's row table (cache miss only)."""
 
     # -- the walk ------------------------------------------------------ #
     def _advance_rows(self, horizon: int) -> np.ndarray:
@@ -419,51 +331,34 @@ class ReplayUserSession(UserSession):
         return rows
 
     def next_context(self) -> np.ndarray:
-        # one-step advance through the same code path plan_trace uses,
-        # so the two can never drift apart
+        # one-step advance through the same code path
+        # plan_trace_indexed uses, so the two can never drift apart
         return self._context_rows(self._advance_rows(1))[0]
-
-    def plan_trace(self, horizon: int) -> TracePlan:
-        """Materialize ``horizon`` steps of the walk (fleet fast path).
-
-        Generator consumption and walk state match ``horizon``
-        sequential ``next_context()`` calls exactly (``reward()``
-        consumes nothing), so the plan is an exact stand-in for the
-        sequential loop — the :mod:`repro.sim` contract.
-        """
-        horizon = check_positive_int(horizon, name="horizon")
-        rows = self._advance_rows(horizon)
-        table = self._reward_rows(rows)
-        return TracePlan(
-            contexts=self._context_rows(rows),
-            action_rewards=table,
-            expected=self._expected_rows(rows, table),
-        )
 
     # -- shared-row-table plan form ------------------------------------ #
     def trace_row_table(self) -> TraceRowTable:
         """The per-dataset :class:`TraceRowTable` this session walks.
 
-        Subclasses that set ``has_indexed_trace_plan = True`` override
-        :meth:`_build_row_table`; the table is built **once per dataset
-        object** and cached on it, so every session over the same
-        dataset — across environments, shards and runs — returns the
-        identical object.  The row-table contract (pinned by
-        ``tests/sim``): for any rows ``r``,
-        ``table.contexts[r] == _context_rows(r)`` and
-        ``table.action_rewards[r] == _reward_rows(r)``.
+        Built by :meth:`_build_row_table` **once per dataset object**
+        and cached on it, so every session over the same dataset —
+        across environments, shards and runs — returns the identical
+        object.  The row-table contract (pinned by ``tests/sim``): for
+        any row ``r``, ``table.contexts[r]`` is the context
+        ``next_context()`` returns on visiting ``r`` and
+        ``table.action_rewards[r, a]`` is what ``reward(a)`` returns
+        there.
 
         Building and caching the table consumes no randomness, so
-        probing it (the fleet engine does, to decide the plan form)
-        never perturbs a session's stream.
+        probing it (the fleet engine does, to partition agents by
+        dataset) never perturbs a session's stream.
         """
         dataset = self._row_table_owner()
         table = getattr(dataset, "_p2b_row_table", None)
         if table is None:
-            # double-checked locking: concurrent shard.prepare() calls
-            # (FleetRunner n_workers > 1) must all receive the *same*
-            # table object — the identity is what shards key sharing
-            # off — so exactly one thread builds per dataset
+            # double-checked locking: concurrent callers (threads of one
+            # process) must all receive the *same* table object — the
+            # identity is what the fleet engine partitions agents by —
+            # so exactly one thread builds per dataset
             with _ROW_TABLE_BUILD_LOCK:
                 table = getattr(dataset, "_p2b_row_table", None)
                 if table is None:
@@ -478,32 +373,19 @@ class ReplayUserSession(UserSession):
                         pass
         return table
 
-    def _row_table_owner(self):
-        """The object the cached row table lives on (the dataset)."""
-        raise NotImplementedError(
-            f"{type(self).__name__} has no shared row table"
-        )
+    def plan_trace_indexed(self, horizon: int) -> TraceWalk:
+        """Materialize ``horizon`` steps of the walk (fleet fast path).
 
-    def _build_row_table(self) -> TraceRowTable:
-        """Construct the dataset's row table (cache miss only)."""
-        raise NotImplementedError(
-            f"{type(self).__name__} has no shared row table"
-        )
-
-    def plan_trace_indexed(self, horizon: int) -> IndexedTracePlan:
-        """Shared-row-table variant of :meth:`plan_trace`.
-
-        Advances the walk exactly like :meth:`plan_trace` (same
-        generator consumption, same end state — the two forms realize
-        the identical horizon), but returns only the ``(horizon,)``
-        row-index walk plus the shared per-dataset table: per-agent
-        plan memory drops from ``horizon × (d + A)`` values to
-        ``horizon`` integers.  Only available when
-        ``has_indexed_trace_plan`` is set.
+        Generator consumption and walk state match ``horizon``
+        sequential ``next_context()`` calls exactly (``reward()``
+        consumes nothing), so the plan is an exact stand-in for the
+        sequential loop — the :mod:`repro.sim` contract.  Returns only
+        the ``(horizon,)`` row-index walk plus the shared per-dataset
+        table: per-agent plan memory is ``horizon`` integers.
         """
         horizon = check_positive_int(horizon, name="horizon")
         table = self.trace_row_table()
-        return IndexedTracePlan(rows=self._advance_rows(horizon), table=table)
+        return TraceWalk(rows=self._advance_rows(horizon), table=table)
 
 
 class Environment(abc.ABC):

@@ -212,15 +212,10 @@ class MultilabelUserSession(ReplayUserSession):
     re-encountering content) — see :class:`ReplayUserSession`, which
     also makes the whole horizon traceable for the fleet engine
     (``has_trace_plan``): the reward of action ``a`` at a sample is the
-    deterministic label lookup ``Y[sample, a]``.  Because that lookup
-    is a pure dataset-row view, the session also supports the
-    shared-row-table plan form (``has_indexed_trace_plan``): the
-    dataset's own ``(X, Y)`` arrays *are* the row table — sharing them
-    across a population allocates nothing per agent beyond the
-    row-index walk.
+    deterministic label lookup ``Y[sample, a]``, so the dataset's own
+    ``(X, Y)`` arrays *are* the shared row table — sharing them across
+    a population allocates nothing per agent beyond the row-index walk.
     """
-
-    has_indexed_trace_plan = True
 
     def __init__(
         self,
@@ -234,16 +229,13 @@ class MultilabelUserSession(ReplayUserSession):
     def _context_rows(self, rows: np.ndarray) -> np.ndarray:
         return self._dataset.X[rows]
 
-    def _reward_rows(self, rows: np.ndarray) -> np.ndarray:
-        return self._dataset.Y[rows]
-
     def _row_table_owner(self):
         return self._dataset
 
     def _build_row_table(self) -> TraceRowTable:
         # the dataset arrays are the table: contexts alias X, realized
         # rewards alias Y, and expected rewards coincide with realized
-        # ones for logged data (same convention as _expected_rows)
+        # ones for logged data
         return TraceRowTable(
             contexts=self._dataset.X,
             action_rewards=self._dataset.Y,

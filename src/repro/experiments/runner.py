@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import dataclasses
 import pickle
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
@@ -34,7 +33,6 @@ from ..core.system import P2BSystem
 from ..data.environment import Environment
 from ..sim import (
     EXACTNESS_TIERS,
-    PLAN_FORMS,
     WORKER_BACKENDS,
     FaultPolicy,
     FleetRunner,
@@ -51,14 +49,6 @@ __all__ = [
     "set_default_config",
     "get_default_config",
     "use_config",
-    "set_default_engine",
-    "get_default_engine",
-    "set_default_n_workers",
-    "get_default_n_workers",
-    "set_default_plan_chunk_size",
-    "get_default_plan_chunk_size",
-    "set_default_exactness",
-    "get_default_exactness",
     "ENGINES",
     "EXACTNESS_TIERS",
     "UNSET",
@@ -100,14 +90,6 @@ def _check_worker_backend(worker_backend: str) -> str:
     return worker_backend
 
 
-def _check_plan_form(plan_form: str) -> str:
-    if plan_form not in PLAN_FORMS:
-        from ..utils.exceptions import ConfigError
-
-        raise ConfigError(f"plan_form must be one of {PLAN_FORMS}, got {plan_form!r}")
-    return plan_form
-
-
 #: default-argument sentinel distinguishing "not passed" (use the
 #: process default) from an explicit ``None`` (``None`` is itself a
 #: meaningful chunk size: whole horizons); shared by the sweep
@@ -121,8 +103,8 @@ class EngineConfig:
 
     Replaces the kwarg pile that grew one parameter per PR (``engine``,
     ``n_workers``, ``worker_backend``, ``plan_chunk_size``,
-    ``plan_form``, ``exactness``, ``sink``,
-    ``kernel_block_size``): build one ``EngineConfig``
+    ``exactness``, ``sink``, ``kernel_block_size``): build one
+    ``EngineConfig``
     and hand it to any entry point — ``run_setting(engine=cfg)``,
     ``compare_settings(engine=cfg)``, the sweeps, ``DeploymentLoop``,
     ``FleetRunner(config=cfg)``, ``FleetService(engine=cfg)`` —
@@ -138,9 +120,9 @@ class EngineConfig:
     that run several settings (a shared sink would interleave them).
 
     The legacy per-call kwargs (``engine="fleet"``, ``n_workers=4``,
-    ...) and the ``set_default_*`` setter pairs keep working as
-    deprecation shims; mixing an ``EngineConfig`` with explicit legacy
-    kwargs in the same call is an error (ambiguous precedence).
+    ...) keep working as deprecation shims; mixing an ``EngineConfig``
+    with explicit legacy kwargs in the same call is an error (ambiguous
+    precedence).
 
     ``fault_policy`` (a :class:`~repro.sim.FaultPolicy`) supervises
     fleet shard execution: a failed shard is retried from its last
@@ -170,7 +152,6 @@ class EngineConfig:
     n_workers: int = 1
     worker_backend: str = "thread"
     plan_chunk_size: int | None = None
-    plan_form: str = "auto"
     exactness: str = "bit"
     sink: object | None = None
     fault_policy: FaultPolicy | None = None
@@ -184,7 +165,6 @@ class EngineConfig:
         _check_worker_backend(self.worker_backend)
         if self.plan_chunk_size is not None:
             check_positive_int(self.plan_chunk_size, name="plan_chunk_size")
-        _check_plan_form(self.plan_form)
         _check_exactness(self.exactness)
         if self.kernel_block_size is not None:
             check_positive_int(self.kernel_block_size, name="kernel_block_size")
@@ -206,11 +186,12 @@ class EngineConfig:
         # checkpoints pickle the EngineConfig into their context blob;
         # a snapshot written before a field existed (sweep_workers
         # postdates the checkpoint format) must still restore — missing
-        # fields take their defaults
+        # fields take their defaults — and fields since removed are
+        # dropped
         for f in dataclasses.fields(self):
-            if f.name not in state and f.default is not dataclasses.MISSING:
-                state[f.name] = f.default
-        self.__dict__.update(state)
+            value = state.get(f.name, f.default)
+            if value is not dataclasses.MISSING:
+                object.__setattr__(self, f.name, value)
 
 
 _default_config = EngineConfig()
@@ -222,8 +203,7 @@ def set_default_config(config: EngineConfig) -> None:
     Used when callers do not pass an engine configuration explicitly.
     Exists for entry points (the CLI flags) that sit many layers above
     :func:`run_setting` and should not thread parameters through every
-    figure/sweep signature.  Replaces the five legacy
-    ``set_default_*`` pairs, which now shim onto this.
+    figure/sweep signature.
     """
     global _default_config
     if not isinstance(config, EngineConfig):
@@ -259,70 +239,6 @@ def use_config(config: EngineConfig | None = None, **overrides):
         yield config
     finally:
         set_default_config(previous)
-
-
-def _warn_deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; use {new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def set_default_engine(engine: str) -> None:
-    """Deprecated shim: ``set_default_config(cfg.replace(engine=...))``."""
-    _warn_deprecated("set_default_engine", "set_default_config / use_config")
-    set_default_config(_default_config.replace(engine=_check_engine(engine)))
-
-
-def get_default_engine() -> str:
-    """Deprecated shim: ``get_default_config().engine``."""
-    _warn_deprecated("get_default_engine", "get_default_config().engine")
-    return _default_config.engine
-
-
-def set_default_n_workers(n_workers: int) -> None:
-    """Deprecated shim: ``set_default_config(cfg.replace(n_workers=...))``."""
-    _warn_deprecated("set_default_n_workers", "set_default_config / use_config")
-    set_default_config(
-        _default_config.replace(
-            n_workers=check_positive_int(n_workers, name="n_workers")
-        )
-    )
-
-
-def get_default_n_workers() -> int:
-    """Deprecated shim: ``get_default_config().n_workers``."""
-    _warn_deprecated("get_default_n_workers", "get_default_config().n_workers")
-    return _default_config.n_workers
-
-
-def set_default_plan_chunk_size(plan_chunk_size: int | None) -> None:
-    """Deprecated shim: ``set_default_config(cfg.replace(plan_chunk_size=...))``."""
-    _warn_deprecated("set_default_plan_chunk_size", "set_default_config / use_config")
-    if plan_chunk_size is not None:
-        plan_chunk_size = check_positive_int(plan_chunk_size, name="plan_chunk_size")
-    set_default_config(_default_config.replace(plan_chunk_size=plan_chunk_size))
-
-
-def get_default_plan_chunk_size() -> int | None:
-    """Deprecated shim: ``get_default_config().plan_chunk_size``."""
-    _warn_deprecated(
-        "get_default_plan_chunk_size", "get_default_config().plan_chunk_size"
-    )
-    return _default_config.plan_chunk_size
-
-
-def set_default_exactness(exactness: str) -> None:
-    """Deprecated shim: ``set_default_config(cfg.replace(exactness=...))``."""
-    _warn_deprecated("set_default_exactness", "set_default_config / use_config")
-    set_default_config(_default_config.replace(exactness=_check_exactness(exactness)))
-
-
-def get_default_exactness() -> str:
-    """Deprecated shim: ``get_default_config().exactness``."""
-    _warn_deprecated("get_default_exactness", "get_default_config().exactness")
-    return _default_config.exactness
 
 
 def _resolve_config(
@@ -601,7 +517,6 @@ def run_setting(
                 n_workers=cfg.n_workers,
                 worker_backend=cfg.worker_backend,
                 plan_chunk_size=cfg.plan_chunk_size,
-                plan_form=cfg.plan_form,
                 exactness=tier,
                 kernel_block_size=cfg.kernel_block_size,
                 fault_policy=cfg.fault_policy,
@@ -734,7 +649,6 @@ def _eval_phase(
             n_workers=cfg.n_workers,
             worker_backend=cfg.worker_backend,
             plan_chunk_size=cfg.plan_chunk_size,
-            plan_form=cfg.plan_form,
             exactness=tier,
             kernel_block_size=cfg.kernel_block_size,
             fault_policy=cfg.fault_policy,

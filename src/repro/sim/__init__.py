@@ -34,7 +34,8 @@ whenever:
 Homogeneity is **not** a condition: heterogeneous populations are
 partitioned into *shards* by :func:`~repro.sim.fleet.shard_key` —
 (mode, private-context, codebook size, policy kind and
-hyperparameters) — and each shard runs on its own stacked state.  The
+hyperparameters) — plus, for replay sessions, the dataset they walk;
+each shard runs on its own stacked state.  The
 combined run interleaves shards round-major (every shard performs
 interaction ``t`` before any shard performs ``t + 1``); because
 condition 2 makes agent order within a round unobservable, shard order
@@ -50,25 +51,23 @@ sessions advertise a plan capability (class flags on
 :class:`~repro.data.environment.UserSession`): ``has_reward_plan``
 sessions (synthetic, stationary) pre-realize their reward noise, and
 ``has_trace_plan`` sessions (dataset replay: multilabel, Criteo)
-pre-materialize their row walk into per-step context and
-reward-table arrays — both by contract exact stand-ins for the
-sequential calls (same values, same generator consumption, session
-left in the same state), so the fast paths stay inside the
+pre-materialize their row walk — both by contract exact stand-ins for
+the sequential calls (same values, same generator consumption,
+session left in the same state), so the fast paths stay inside the
 bit-identity guarantee.  A shard mixing plan-capable and plan-less
 sessions falls back to per-round session stepping, still
 bit-identical.
 
-Traced plans take the **shared-row-table** form whenever every session
-of a shard walks the same per-dataset
-:class:`~repro.data.environment.TraceRowTable`
-(``has_indexed_trace_plan``): the shard keeps one row-index walk per
+Traced plans use **shared row tables**: agents partition by the
+per-dataset :class:`~repro.data.environment.TraceRowTable` their
+session walks, so every traced shard keeps one row-index walk per
 agent and gathers contexts, rewards and plan-time encodings through
-tables that exist once per dataset — traced-plan memory drops A-fold
-and each distinct dataset row is encoded at most once per encoder.
-``FleetRunner(plan_chunk_size=C)`` additionally materializes plans in
-bounded horizon slices; both knobs preserve bit-identity (chunk
-boundaries straddle participation windows through a short history
-tail, and slice-by-slice planning is exact by the plan contract).
+tables that exist once per dataset — each distinct dataset row is
+encoded at most once per encoder.  ``FleetRunner(plan_chunk_size=C)``
+additionally materializes plans in bounded horizon slices, which
+preserves bit-identity (slice-by-slice planning is exact by the plan
+contract, and the full row walk reaches any step a participation
+window looks back to).
 
 The *reporting* pipeline is columnar on the same plan-capable shards:
 participation advances through
@@ -138,7 +137,6 @@ from .faults import (
     active_plan,
 )
 from .fleet import (
-    PLAN_FORMS,
     WORKER_BACKENDS,
     DroppedShard,
     FaultPolicy,
@@ -191,7 +189,6 @@ __all__ = [
     "aggregate_plan_nbytes",
     "EXACTNESS_TIERS",
     "WORKER_BACKENDS",
-    "PLAN_FORMS",
     "SHM_ENV_VAR",
     "ShmArrayRef",
     "ShmPool",

@@ -29,19 +29,13 @@ pre-materialize their horizon (capability flags on
   pre-realize reward noise (:class:`StationaryRewardPlan`); rewards
   become one gather + clip per round;
 * ``has_trace_plan`` — dataset-replay sessions (multilabel, Criteo)
-  pre-materialize their row walk (:class:`TracePlan`); per-step
-  contexts and per-action reward tables become array gathers;
-* ``has_indexed_trace_plan`` — replay sessions whose dataset exposes a
-  shared :class:`~repro.data.environment.TraceRowTable` take the
-  **shared-row-table** form when every session of the shard walks the
-  *same* table: the shard holds one ``(n, T)`` row-index walk and
-  gathers contexts, rewards, expected rewards — and, warm-private,
-  codes and centroid representations — through per-dataset tables that
-  exist once, not once per agent.  Traced-plan memory drops A-fold and
-  each distinct dataset row is encoded at most once per encoder,
-  however many agents and steps visit it.  ``plan_form="dense"``
-  forces the per-agent form (the memory bench compares the two);
-  ``plan_form="indexed"`` insists and raises when unavailable.
+  walk a shared :class:`~repro.data.environment.TraceRowTable`.  Agents
+  partition by the table their session walks (one table per dataset),
+  so a traced shard holds one ``(n, T)`` row-index walk and gathers
+  contexts, rewards, expected rewards — and, warm-private, codes and
+  centroid representations — through per-dataset tables that exist
+  once, not once per agent.  Each distinct dataset row is encoded at
+  most once per encoder, however many agents and steps visit it.
 
 A shard mixing plan-capable and plan-less sessions falls back to the
 generic per-round session loop — still bit-identical, just slower.
@@ -50,16 +44,13 @@ Chunked horizons (``plan_chunk_size``) bound the plan materialization:
 instead of planning all ``T`` steps up front, a shard re-plans its
 sessions every ``C`` steps — exact by the plan contract (planning a
 horizon in consecutive slices consumes session streams identically to
-one full plan) — so dense traced-plan memory is ``O(n x C)`` instead
-of ``O(n x T)``.  Chunk boundaries are invisible to everything else:
-participation windows straddle them through a short history tail (a
-report may sample an interaction up to ``window - 1`` steps back, so
-dense shards retain that many trailing steps of context/codes), the
-columnar report gathers and ``finish``'s buffer rebuild read through
-the same tail, and ``plan_chunk_size >= T`` (or ``None``) degenerates
-to exactly the unchunked path — one chunk, no tail.  Indexed shards
-need no tail at all: the full row walk plus the shared tables
-regenerate any past step.
+one full plan) — so stationary reward noise is held ``C`` steps at a
+time.  Chunk boundaries are invisible to everything else: a report may
+sample an interaction up to ``window - 1`` steps back, and the
+columnar report gathers and ``finish``'s buffer rebuild reach it
+through the stationary context epochs or the full row walk; a
+``plan_chunk_size >= T`` (or ``None``) degenerates to exactly the
+unchunked path.
 
 What stays per-agent Python (all O(1) per agent per round):
 
@@ -127,7 +118,6 @@ from ..core.participation import StackedParticipation
 from ..core.payload import EncodedReport, RawReport, ReportLog
 from ..data.environment import (
     StationaryRewardPlan,
-    TracePlan,
     TraceRowTable,
     UserSession,
 )
@@ -146,7 +136,6 @@ __all__ = [
     "shard_indices",
     "aggregate_plan_nbytes",
     "WORKER_BACKENDS",
-    "PLAN_FORMS",
     "EXACTNESS_TIERS",
 ]
 
@@ -155,14 +144,6 @@ __all__ = [
 #: ``process`` runs each shard's whole horizon in a worker process
 #: (serialization-heavy escape hatch for Python-bound populations).
 WORKER_BACKENDS = ("thread", "process")
-
-#: recognized traced-plan forms: ``auto`` uses the shared-row-table
-#: ("indexed") form whenever every session of a shard walks the same
-#: :class:`~repro.data.environment.TraceRowTable` and falls back to
-#: per-agent ("dense") trace tables otherwise; ``dense`` forces the
-#: per-agent form; ``indexed`` insists on the shared form and raises
-#: when a shard cannot take it.  All forms are bit-identical.
-PLAN_FORMS = ("auto", "indexed", "dense")
 
 
 @dataclass(frozen=True)
@@ -295,18 +276,39 @@ def _checked_shard_key(agent: LocalAgent, i: int) -> tuple:
     return key
 
 
-def shard_indices(agents: Sequence[LocalAgent]) -> list[np.ndarray]:
+def _partition_key(agent: LocalAgent, session: UserSession, i: int) -> tuple:
+    """The shard an ``(agent, session)`` pair belongs to.
+
+    :func:`shard_key` plus the identity of the row table a traced
+    session walks (``None`` for sessions without a trace plan): one
+    shard, one row table.  Probing the table consumes no randomness.
+    """
+    table = id(session.trace_row_table()) if session.has_trace_plan else None
+    return (_checked_shard_key(agent, i), table)
+
+
+def _partition(
+    agents: Sequence[LocalAgent], sessions: Sequence[UserSession]
+) -> dict[tuple, list[int]]:
+    """Agent indices grouped by :func:`_partition_key`, first appearance first."""
+    groups: dict[tuple, list[int]] = {}
+    for i, (agent, session) in enumerate(zip(agents, sessions, strict=True)):
+        groups.setdefault(_partition_key(agent, session, i), []).append(i)
+    return groups
+
+
+def shard_indices(
+    agents: Sequence[LocalAgent], sessions: Sequence[UserSession]
+) -> list[np.ndarray]:
     """Partition agent indices into stackable shards.
 
-    Shards are keyed by :func:`shard_key` and ordered by first
-    appearance; within a shard, agent order is preserved.  Raises
+    Shards are keyed by :func:`shard_key` and, for traced sessions, the
+    dataset row table they walk; they are ordered by first appearance,
+    and within a shard agent order is preserved.  Raises
     :class:`~repro.utils.exceptions.ConfigError` when any agent is not
     fleet-capable.
     """
-    groups: dict[tuple, list[int]] = {}
-    for i, agent in enumerate(agents):
-        groups.setdefault(_checked_shard_key(agent, i), []).append(i)
-    return [np.asarray(idx, dtype=np.intp) for idx in groups.values()]
+    return [np.asarray(idx, dtype=np.intp) for idx in _partition(agents, sessions).values()]
 
 
 @dataclass(frozen=True)
@@ -342,11 +344,11 @@ class _Shard:
 
     Owns the per-shard context/encoding caches and — when every session
     in the shard advertises a plan capability — the plan
-    materialization: stationary reward plans, per-agent replay traces
-    ("dense"), or a shared-row-table walk ("indexed").  Plans
-    materialize in horizon chunks of ``plan_chunk_size`` steps (the
-    whole horizon when ``None``).  ``step`` writes outcomes into the
-    *global* result matrices at this shard's agent indices.
+    materialization: stationary reward plans, or a row-index walk over
+    the one shared row table every traced session of the shard walks.
+    Plans materialize in horizon chunks of ``plan_chunk_size`` steps
+    (the whole horizon when ``None``).  ``step`` writes outcomes into
+    the *global* result matrices at this shard's agent indices.
     """
 
     def __init__(
@@ -356,10 +358,17 @@ class _Shard:
         sessions: list[UserSession],
         *,
         plan_chunk_size: int | None = None,
-        plan_form: str = "auto",
         exactness: str = "bit",
         kernel_block_size: int | None = None,
     ) -> None:
+        if all(s.has_trace_plan for s in sessions):
+            tables = {id(s.trace_row_table()) for s in sessions}
+            if len(tables) > 1:
+                raise ConfigError(
+                    f"a shard's sessions walk {len(tables)} different row tables; "
+                    "partition agents by dataset (FleetRunner does) so each "
+                    "shard walks one"
+                )
         self.indices = indices
         self.agents = agents
         self.sessions = sessions
@@ -373,7 +382,6 @@ class _Shard:
         )
         self._rows = np.arange(self.n)
         self._plan_chunk_size = plan_chunk_size
-        self._plan_form = plan_form
         # acting-representation caches (warm-private only) — persist
         # across runs: encoders are deterministic, and _refresh_acting
         # validates every row against the live context in one compare
@@ -407,8 +415,8 @@ class _Shard:
 
         Deterministic caches — stacked policy state, acting-encoding
         caches, encoder groups, shared per-row code tables — survive;
-        plan materializations, chunk cursors, history tails and the
-        columnar-recording state are strictly per-run and reset here
+        plan materializations, chunk cursors and the columnar-recording
+        state are strictly per-run and reset here
         (``prepare`` calls this first, so a reused shard can never see
         a previous run's plan path or recording buffers).
         """
@@ -418,7 +426,6 @@ class _Shard:
         self._colmod: int | None = None
         # which plan fast path this shard runs on (None = generic loop)
         self._plan_path: str | None = None
-        self._track_expected = False
         # chunk state: plan arrays cover global steps
         # [_chunk_start, _chunk_start + _chunk_len)
         self._chunk = 0
@@ -438,25 +445,10 @@ class _Shard:
         # whether any session's stationarity expires mid-horizon
         # (drifting sessions): chunks then re-gather means/contexts
         self._plan_limited = False
-        # dense trace-plan arrays (per-agent, chunk-local)
-        self._trace_ctx: np.ndarray | None = None
-        self._trace_rewards: np.ndarray | None = None
-        self._trace_expected: np.ndarray | None = None
-        self._trace_expected_ok: np.ndarray | None = None
-        self._trace_codes: np.ndarray | None = None
-        self._trace_reps: np.ndarray | None = None
-        self._trace_expected_is_rewards = False
-        # shared-row-table state (indexed shards): the full-horizon row
-        # walk (the per-dataset code tables persist across runs)
+        # traced-shard state: the shared row table and the full-horizon
+        # row walk (the per-dataset code tables persist across runs)
         self._row_table: TraceRowTable | None = None
         self._trace_rows: np.ndarray | None = None  # (n, T) intp
-        # history tail (dense traced chunked shards): the last
-        # ``max(window) - 1`` steps of context/codes before the current
-        # chunk, for report gathers and buffer rebuilds that straddle a
-        # chunk boundary
-        self._hist_len = 0
-        self._hist_ctx: np.ndarray | None = None
-        self._hist_codes: np.ndarray | None = None
         # columnar reporting state (every plan path records columnar)
         self._horizon = 0
         self._base_inter: np.ndarray | None = None
@@ -492,7 +484,6 @@ class _Shard:
         self,
         n_interactions: int,
         *,
-        track_expected: bool = False,
         result_window: int | None = None,
     ) -> None:
         """Pick the plan fast path and materialize its first chunk.
@@ -505,12 +496,12 @@ class _Shard:
         ``tests/sim``) makes this exact, and pre-realizing one shard
         before another is unobservable because session streams are
         per-agent.  Shards mixing plan-capable and plan-less sessions
-        take the generic per-round path.
+        take the generic per-round path.  A traced shard's sessions all
+        walk one row table (checked at construction).
         """
         self._reset_run_state()
         self._colmod = result_window
         self._horizon = n_interactions
-        self._track_expected = track_expected
         if all(s.has_reward_plan for s in self.sessions):
             path = "stationary"
             # drifting sessions advertise a finite stationarity horizon;
@@ -521,15 +512,10 @@ class _Shard:
                 s.plan_horizon_limit() is not None for s in self.sessions
             )
         elif all(s.has_trace_plan for s in self.sessions):
-            path = self._pick_trace_form()
+            path = "traced"
+            self._row_table = self.sessions[0].trace_row_table()
         else:
             path = None
-        if path in (None, "stationary") and self._plan_form == "indexed":
-            raise ConfigError(
-                "plan_form='indexed' requested but a shard's sessions have no "
-                "trace plans to share (plan-less or stationary sessions); use "
-                "plan_form='auto'"
-            )
         if path is None:
             return
         self._plan_path = path
@@ -538,41 +524,16 @@ class _Shard:
             if self._plan_chunk_size is None
             else min(self._plan_chunk_size, n_interactions)
         )
-        if path == "indexed":
-            # the per-agent half of the shared-row-table form: one row
-            # index per step — everything else lives in the shared
-            # per-dataset tables
+        if path == "traced":
+            # the per-agent half of a trace plan: one row index per
+            # step — everything else lives in the shared per-dataset
+            # tables
             self._trace_rows = np.empty((self.n, n_interactions), dtype=np.intp)
             self._init_row_encodings()
         # every plan path records columnar; a drifting stationary shard
         # opens a new context epoch at each drift boundary (_push_epoch)
         self._init_batch_recording()
-        self._init_history()
         self._materialize_chunk(0)
-
-    def _pick_trace_form(self) -> str:
-        """Shared-row-table ("indexed") or per-agent ("dense") traces.
-
-        The shared form applies when every session advertises
-        ``has_indexed_trace_plan`` *and* they all walk the same
-        :class:`TraceRowTable` (sessions over one dataset share the
-        table by identity; probing it consumes no randomness).  Mixed
-        datasets within one shard fall back to dense per-agent tables —
-        bit-identical either way.  ``plan_form`` forces the choice.
-        """
-        if self._plan_form == "dense":
-            return "dense"
-        if all(s.has_indexed_trace_plan for s in self.sessions):
-            tables = [s.trace_row_table() for s in self.sessions]
-            if all(t is tables[0] for t in tables):
-                self._row_table = tables[0]
-                return "indexed"
-            why = "its sessions walk different datasets (no single row table to share)"
-        else:
-            why = "not every session has a shared-row-table plan"
-        if self._plan_form == "indexed":
-            raise ConfigError(f"plan_form='indexed' requested but {why}")
-        return "dense"
 
     def _encoder_groups(self) -> list[np.ndarray]:
         """Shard-local agent indices grouped by encoder object (cached).
@@ -614,26 +575,6 @@ class _Shard:
             d = self._row_table.contexts.shape[1]
             self._row_reps = np.zeros((*shape, d), dtype=np.float64)
 
-    def _init_history(self) -> None:
-        """Size the cross-chunk history tail (dense chunked shards only).
-
-        A report samples an interaction at most ``window - 1`` steps
-        back, and ``finish`` rebuilds at most ``window - 1`` buffered
-        items (a window that never fills holds at most that many
-        in-run steps), so retaining ``max(window) - 1`` trailing steps
-        of context/codes bridges every chunk boundary.  Indexed shards
-        regenerate any step from the full row walk plus the shared
-        tables; stationary shards keep each context epoch of the run
-        (:meth:`_push_epoch`); cold shards never report — none of them
-        need a tail.
-        """
-        self._hist_len = 0
-        if self._plan_path != "dense" or self._chunk >= self._horizon:
-            return
-        if self._part is None:
-            return
-        self._hist_len = int(self._part.window.max()) - 1
-
     def _materialize_chunk(self, start: int) -> None:
         """Materialize plan arrays for global steps ``[start, start + C)``.
 
@@ -672,51 +613,13 @@ class _Shard:
                 self._plan_means = np.stack([p.mean_rewards for p in plans])  # (n, A)
                 self._plan_acting = self._refresh_acting(self._X)
                 self._push_epoch(start)
-        elif self._plan_path == "indexed":
+        else:  # traced: extend the row walk
             rows = np.stack(
                 [s.plan_trace_indexed(length).rows for s in self.sessions]
             )
             self._trace_rows[:, start : start + length] = rows
-            if start == 0:
-                table = self._row_table
-                self._trace_expected_ok = np.full(
-                    self.n, table.expected is not None, dtype=bool
-                )
-                self._trace_expected_is_rewards = (
-                    table.expected is table.action_rewards
-                )
             if self.mode == AgentMode.WARM_PRIVATE:
                 self._encode_new_rows(rows)
-        else:  # dense per-agent traces
-            traces: list[TracePlan] = [s.plan_trace(length) for s in self.sessions]
-            self._trace_ctx = np.stack([p.contexts for p in traces])  # (n, C, d)
-            self._trace_rewards = np.stack(
-                [p.action_rewards for p in traces]
-            )  # (n, C, A)
-            if start == 0:
-                self._trace_expected_ok = np.asarray(
-                    [p.expected is not None for p in traces], dtype=bool
-                )
-            # the expected channel is only materialized when the run
-            # tracks it; logged-data plans usually alias it to the
-            # reward table (expected == realized), in which case the
-            # per-step values fall out of the reward gather for free
-            self._trace_expected = None
-            if self._track_expected and self._trace_expected_ok.any():
-                if all(p.expected is p.action_rewards for p in traces):
-                    self._trace_expected_is_rewards = True
-                else:
-                    # absent expected channels stay zero; their agents
-                    # are masked out of the expected matrix at step 0
-                    ref = next(p.expected for p in traces if p.expected is not None)
-                    self._trace_expected = np.zeros(
-                        (self.n, *ref.shape), dtype=np.float64
-                    )
-                    for j, p in enumerate(traces):
-                        if p.expected is not None:
-                            self._trace_expected[j] = p.expected
-            if self.mode == AgentMode.WARM_PRIVATE:
-                self._precompute_trace_codes()
 
     def _push_epoch(self, start: int) -> None:
         """Record the stationary contexts (and codes) in force from ``start``.
@@ -736,25 +639,10 @@ class _Shard:
         while len(self._epoch_starts) > 1 and self._epoch_starts[1] <= start - lookback:
             del self._epoch_starts[0], self._epoch_ctx[0], self._epoch_codes[0]
 
-    def _roll_history(self) -> None:
-        """Retain the chunk tail needed across the boundary (dense only)."""
-        if self._hist_len <= 0:
-            return
-        keep = self._hist_len
-
-        def tail(hist: np.ndarray | None, chunk: np.ndarray) -> np.ndarray:
-            joined = chunk if hist is None else np.concatenate([hist, chunk], axis=1)
-            return joined[:, max(0, joined.shape[1] - keep) :].copy()
-
-        self._hist_ctx = tail(self._hist_ctx, self._trace_ctx)
-        if self._trace_codes is not None:
-            self._hist_codes = tail(self._hist_codes, self._trace_codes)
-
     def _encode_new_rows(self, chunk_rows: np.ndarray) -> None:
         """Extend the shared code tables to cover this chunk's rows.
 
-        The indexed counterpart of :meth:`_precompute_trace_codes`:
-        encoders are deterministic and ``encode_batch`` row-exact, so
+        Encoders are deterministic and ``encode_batch`` row-exact, so
         each distinct *dataset row* is encoded at most once per
         encoder — no matter how many agents or steps visit it, and no
         matter how the horizon is chunked — and every later use
@@ -776,7 +664,7 @@ class _Shard:
         """Switch this shard's reporting pipeline to the columnar path.
 
         Plan-capable shards keep their context history in arrays (the
-        stationary context epochs, the trace tensor or the row walk),
+        stationary context epochs or the row walk),
         so the sampled window item of any report is a pure gather —
         the per-agent ``record_interaction`` loop is replaced by
         :class:`StackedParticipation` masks plus per-round appends
@@ -800,34 +688,6 @@ class _Shard:
         for j, agent in enumerate(self.agents):
             agent.adopt_report_log(self._log, j)
 
-    def _precompute_trace_codes(self) -> None:
-        """Batch-encode the whole trace (warm-private traced shards).
-
-        Encoders are deterministic and :meth:`Encoder.encode_batch` is
-        row-exact against scalar ``encode`` (the base-class contract),
-        so encoding at plan time instead of per round is exact — and
-        collapses the last per-agent-per-round Python of the replay
-        fast path into one batched call per *distinct encoder* (shards
-        only guarantee equal codebook size, so agents are grouped by
-        encoder object).
-        """
-        n, horizon, d = self._trace_ctx.shape
-        codes = np.empty((n, horizon), dtype=np.intp)
-        groups = self._encoder_groups()
-        for members in groups:
-            encoder = self.agents[members[0]].encoder
-            block = self._trace_ctx[members].reshape(members.size * horizon, d)
-            codes[members] = encoder.encode_batch(block).reshape(members.size, horizon)
-        self._trace_codes = codes
-        if self.private_context == "centroid":
-            reps = np.empty((n, horizon, d), dtype=np.float64)
-            for members in groups:
-                encoder = self.agents[members[0]].encoder
-                reps[members] = encoder.decode_batch(codes[members].ravel()).reshape(
-                    members.size, horizon, d
-                )
-            self._trace_reps = reps
-
     @property
     def stationary(self) -> bool:
         """This shard runs on pre-realized stationary reward plans."""
@@ -835,13 +695,8 @@ class _Shard:
 
     @property
     def traced(self) -> bool:
-        """This shard runs on pre-materialized replay traces (either form)."""
-        return self._plan_path in ("dense", "indexed")
-
-    @property
-    def indexed(self) -> bool:
-        """This shard runs on the shared-row-table trace form."""
-        return self._plan_path == "indexed"
+        """This shard runs on a row walk over a shared row table."""
+        return self._plan_path == "traced"
 
     def _col(self, t):
         """Result-matrix column for global step ``t`` (scalar or array).
@@ -856,10 +711,10 @@ class _Shard:
         """Bytes currently held by this shard's plan materialization.
 
         ``per_agent`` counts arrays scaling with ``n_agents x steps``
-        (dense trace blocks, history tails, row walks, stationary
-        noise and context epochs); ``shared`` counts per-dataset
-        arrays whose size is independent of the population (the row
-        table and the per-row code/centroid tables).  The memory bench
+        (row walks, stationary noise and context epochs); ``shared``
+        counts per-dataset arrays whose size is independent of the
+        population (the row table and the per-row code/centroid
+        tables).  The memory bench
         (``benchmarks/bench_memory.py``) records both; the
         shared-row-table claim is their ratio.
 
@@ -869,17 +724,7 @@ class _Shard:
         shard.  :func:`aggregate_plan_nbytes` threads one ``seen``
         through a whole shard list.
         """
-        arrays = [
-            self._plan_noise,
-            self._trace_ctx,
-            self._trace_rewards,
-            self._trace_expected,
-            self._trace_codes,
-            self._trace_reps,
-            self._trace_rows,
-            self._hist_ctx,
-            self._hist_codes,
-        ]
+        arrays = [self._plan_noise, self._trace_rows]
         if self.stationary:
             arrays += [self._X, self._plan_means]
             if self._plan_acting is not self._X:  # aliased when acting on raw contexts
@@ -924,21 +769,16 @@ class _Shard:
                 in_worker=self._fault_in_worker,
             )
         if self._plan_path is not None and t == self._chunk_start + self._chunk_len:
-            self._roll_history()
             self._materialize_chunk(t)
         s = t - self._chunk_start  # chunk-local step into the plan arrays
         tc = self._col(t)  # result-matrix column (ring when streaming)
-        rows_t = None
         if self.stationary:
             acting = self._plan_acting
             X = self._X
-        elif self.indexed:
-            rows_t = self._trace_rows[:, t]
-            acting = self._indexed_acting(rows_t)
-            X = None  # every gather goes through the shared row table
         elif self.traced:
-            X = self._trace_ctx[:, s]
-            acting = self._trace_acting(s, X)
+            rows_t = self._trace_rows[:, t]
+            acting = self._traced_acting(rows_t)
+            X = None  # every gather goes through the shared row table
         else:
             X = self._next_contexts()
             acting = self._refresh_acting(X)
@@ -955,31 +795,21 @@ class _Shard:
             rewards[self.indices, tc] = r
             if expected is not None:
                 expected[self.indices, tc] = self._plan_means[self._rows, acts]
-        elif self.indexed:
-            # IndexedTracePlan.realize, vectorized across agents for one
-            # step: a gather through the *shared* per-dataset reward
-            # table — replay rewards are deterministic
-            r = self._row_table.action_rewards[rows_t, acts].astype(np.float64)
-            rewards[self.indices, tc] = r
-            if expected is not None:
-                if t == 0:
-                    expected_ok[self.indices] &= self._trace_expected_ok
-                if self._trace_expected_is_rewards:
-                    expected[self.indices, tc] = r
-                elif self._row_table.expected is not None:
-                    expected[self.indices, tc] = self._row_table.expected[rows_t, acts]
         elif self.traced:
-            # TracePlan.realize, vectorized across agents for one step:
-            # a pure table gather — replay rewards are deterministic
-            r = self._trace_rewards[self._rows, s, acts].astype(np.float64)
+            # TraceWalk.realize, vectorized across agents for one
+            # step: a gather through the *shared* per-dataset reward
+            # table — replay rewards are deterministic; logged data
+            # aliases the expected channel to the realized table
+            table = self._row_table
+            r = table.action_rewards[rows_t, acts].astype(np.float64)
             rewards[self.indices, tc] = r
             if expected is not None:
-                if t == 0:
-                    expected_ok[self.indices] &= self._trace_expected_ok
-                if self._trace_expected_is_rewards:
+                if table.expected is table.action_rewards:
                     expected[self.indices, tc] = r
-                elif self._trace_expected is not None:
-                    expected[self.indices, tc] = self._trace_expected[self._rows, s, acts]
+                elif table.expected is not None:
+                    expected[self.indices, tc] = table.expected[rows_t, acts]
+                elif t == 0:
+                    expected_ok[self.indices] = False
         else:
             r = np.empty(self.n, dtype=np.float64)
             for j in range(self.n):
@@ -1016,9 +846,9 @@ class _Shard:
         Counters accumulate in shard arrays; participation advances
         through :class:`StackedParticipation` (vectorized masks,
         per-agent RNG draws in the scalar order); report payloads are
-        *gathered* — codes from the plan-time batch encodings
-        (``_trace_codes`` / the stationary encode cache), contexts from
-        the plan arrays, sampled actions/rewards from the already
+        *gathered* — codes from the plan-time batch encodings (the
+        per-row code tables / the stationary encode cache), contexts
+        from the plan arrays, sampled actions/rewards from the already
         filled result matrices — instead of re-encoded or re-built per
         report.
         """
@@ -1119,24 +949,8 @@ class _Shard:
                 self._X[j] = self.sessions[j].next_context()
         return self._X
 
-    def _trace_acting(self, s: int, X: np.ndarray) -> np.ndarray:
-        """Acting representation for chunk-local step ``s`` (dense form).
-
-        Warm-private representations come from the plan-time batch
-        encoding (:meth:`_precompute_trace_codes`) — pure gathers, no
-        per-agent calls.
-        """
-        if self.mode != AgentMode.WARM_PRIVATE:
-            return X
-        if self.stacked.wants_codes:
-            return self._trace_codes[:, s]
-        if self.private_context == "centroid":
-            return self._trace_reps[:, s]
-        encoder = self.agents[0].encoder
-        return encoder.one_hot_batch(self._trace_codes[:, s])  # type: ignore[union-attr]
-
-    def _indexed_acting(self, rows_t: np.ndarray) -> np.ndarray:
-        """Acting representation for one step of an indexed shard.
+    def _traced_acting(self, rows_t: np.ndarray) -> np.ndarray:
+        """Acting representation for one step of a traced shard.
 
         Every form is a gather through the shared per-dataset tables —
         raw contexts from the row table, codes / centroid
@@ -1154,39 +968,24 @@ class _Shard:
 
     def _ctx_dim(self) -> int:
         """Context dimension of this shard's raw-payload source."""
-        if self.indexed:
-            return self._row_table.contexts.shape[1]
         if self.traced:
-            return self._trace_ctx.shape[2]
+            return self._row_table.contexts.shape[1]
         return self._X.shape[1]
 
     def _codes_at(self, agent_rows: np.ndarray, steps: np.ndarray) -> np.ndarray:
         """Plan-time codes of ``(shard-local agent, global step)`` pairs.
 
-        Serves the columnar report-payload gathers: indexed shards read
+        Serves the columnar report-payload gathers: traced shards read
         the shared per-row code tables through the full row walk (any
-        step, any chunk), dense traced shards read the current chunk
-        block or its history tail (a window straddling the boundary
-        looks back at most ``window - 1 <= hist_len`` steps), and
-        stationary shards read the codes of the step's context epoch
-        (:meth:`_push_epoch`; contexts are fixed within an epoch).
+        step, any chunk), and stationary shards read the codes of the
+        step's context epoch (:meth:`_push_epoch`; contexts are fixed
+        within an epoch).
         Codes are never re-encoded on any path.
         """
-        if self.indexed:
+        if self.traced:
             return self._row_codes[
                 self._agent_group[agent_rows], self._trace_rows[agent_rows, steps]
             ]
-        if self.traced:
-            out = np.empty(agent_rows.size, dtype=np.intp)
-            loc = steps - self._chunk_start
-            cur = loc >= 0
-            out[cur] = self._trace_codes[agent_rows[cur], loc[cur]]
-            if not cur.all():
-                past = ~cur
-                out[past] = self._hist_codes[
-                    agent_rows[past], self._hist_codes.shape[1] + loc[past]
-                ]
-            return out
         return self._epoch_gather(self._epoch_codes, agent_rows, steps)
 
     def _contexts_at(self, agent_rows: np.ndarray, steps: np.ndarray) -> np.ndarray:
@@ -1195,19 +994,8 @@ class _Shard:
         Same dispatch as :meth:`_codes_at`; serves the raw report
         payloads and :meth:`finish`'s participation-buffer rebuild.
         """
-        if self.indexed:
-            return self._row_table.contexts[self._trace_rows[agent_rows, steps]]
         if self.traced:
-            out = np.empty((agent_rows.size, self._trace_ctx.shape[2]), dtype=np.float64)
-            loc = steps - self._chunk_start
-            cur = loc >= 0
-            out[cur] = self._trace_ctx[agent_rows[cur], loc[cur]]
-            if not cur.all():
-                past = ~cur
-                out[past] = self._hist_ctx[
-                    agent_rows[past], self._hist_ctx.shape[1] + loc[past]
-                ]
-            return out
+            return self._row_table.contexts[self._trace_rows[agent_rows, steps]]
         return self._epoch_gather(self._epoch_ctx, agent_rows, steps)
 
     def _epoch_gather(
@@ -1324,7 +1112,6 @@ def _run_shard_remote(payload: bytes, fault_ctx: tuple | None = None) -> bytes:
         n_interactions,
         track_expected,
         plan_chunk_size,
-        plan_form,
         exactness,
         kernel_block_size,
         result_refs,
@@ -1341,7 +1128,6 @@ def _run_shard_remote(payload: bytes, fault_ctx: tuple | None = None) -> bytes:
         agents,
         sessions,
         plan_chunk_size=plan_chunk_size,
-        plan_form=plan_form,
         exactness=exactness,
         kernel_block_size=kernel_block_size,
     )
@@ -1350,7 +1136,7 @@ def _run_shard_remote(payload: bytes, fault_ctx: tuple | None = None) -> bytes:
         shard.arm_faults(
             FaultPlan.parse(spec), shard_index, attempt, in_worker=True
         )
-    shard.prepare(n_interactions, track_expected=track_expected)
+    shard.prepare(n_interactions)
     if result_refs is None:
         rewards = np.empty((n, n_interactions), dtype=np.float64)
         actions = np.empty((n, n_interactions), dtype=np.intp)
@@ -1417,19 +1203,11 @@ class FleetRunner:
     plan_chunk_size:
         Materialize session plans in horizon slices of this many steps
         instead of all at once (default ``None`` = the whole horizon) —
-        bounds dense traced-plan memory at ``O(n_agents x chunk)``.
-        Any chunk size produces bit-identical results (the plan
-        contract makes slice-by-slice planning exact; participation
-        windows straddle chunk boundaries through a short history
-        tail), and a chunk size ``>= n_interactions`` *is* the
+        bounds stationary reward-noise memory at
+        ``O(n_agents x chunk)``.  Any chunk size produces bit-identical
+        results (the plan contract makes slice-by-slice planning
+        exact), and a chunk size ``>= n_interactions`` *is* the
         unchunked path.  Only affects plan-capable shards.
-    plan_form:
-        Traced-plan representation, one of :data:`PLAN_FORMS`
-        (default ``"auto"``: shared-row-table gathers whenever every
-        session of a shard walks the same per-dataset
-        :class:`~repro.data.environment.TraceRowTable`, per-agent
-        tables otherwise).  All forms are bit-identical; the knob
-        exists so benches and tests can pin a form.
     exactness:
         Contract tier, one of :data:`EXACTNESS_TIERS` (default
         ``"bit"``: every result bit-identical to the sequential loop,
@@ -1477,7 +1255,6 @@ class FleetRunner:
         n_workers: int = 1,
         worker_backend: str = "thread",
         plan_chunk_size: int | None = None,
-        plan_form: str = "auto",
         exactness: str = "bit",
         kernel_block_size: int | None = None,
         persistent: bool = False,
@@ -1494,7 +1271,6 @@ class FleetRunner:
                 n_workers != 1
                 or worker_backend != "thread"
                 or plan_chunk_size is not None
-                or plan_form != "auto"
                 or exactness != "bit"
                 or kernel_block_size is not None
                 or fault_policy is not None
@@ -1506,7 +1282,6 @@ class FleetRunner:
             n_workers = config.n_workers
             worker_backend = config.worker_backend
             plan_chunk_size = config.plan_chunk_size
-            plan_form = config.plan_form
             exactness = config.exactness
             kernel_block_size = getattr(config, "kernel_block_size", None)
             fault_policy = getattr(config, "fault_policy", None)
@@ -1524,9 +1299,6 @@ class FleetRunner:
         if plan_chunk_size is not None:
             plan_chunk_size = check_positive_int(plan_chunk_size, name="plan_chunk_size")
         self.plan_chunk_size = plan_chunk_size
-        if plan_form not in PLAN_FORMS:
-            raise ConfigError(f"plan_form must be one of {PLAN_FORMS}, got {plan_form!r}")
-        self.plan_form = plan_form
         if exactness not in EXACTNESS_TIERS:
             raise ConfigError(
                 f"exactness must be one of {EXACTNESS_TIERS}, got {exactness!r}"
@@ -1564,18 +1336,11 @@ class FleetRunner:
         # into zero shards and runs to an empty result.  The dict is
         # insertion-ordered by first appearance — churn appends to /
         # filters these lists instead of re-partitioning everything.
-        self._groups: dict[tuple, list[int]] = {}
-        for i, agent in enumerate(self.agents):
-            self._groups.setdefault(_checked_shard_key(agent, i), []).append(i)
+        self._groups: dict[tuple, list[int]] = _partition(self.agents, self.sessions)
         # persistent mode keeps each shard's stacked state warm between
         # runs, keyed like _groups; entries drop whenever membership
         # changes (see add_agents/remove_agents/invalidate)
         self._shards: dict[tuple, _Shard] = {}
-
-    @property
-    def _shard_index_groups(self) -> list[np.ndarray]:
-        """Shard membership as index arrays (ordered by first appearance)."""
-        return [np.asarray(idx, dtype=np.intp) for idx in self._groups.values()]
 
     @property
     def n_shards(self) -> int:
@@ -1603,8 +1368,8 @@ class FleetRunner:
                 "must align one-to-one"
             )
         base = len(self.agents)
-        for off, agent in enumerate(agents):
-            key = _checked_shard_key(agent, base + off)
+        for off, (agent, session) in enumerate(zip(agents, sessions)):
+            key = _partition_key(agent, session, base + off)
             self._groups.setdefault(key, []).append(base + off)
             self._shards.pop(key, None)  # membership changed: restack
         self.agents.extend(agents)
@@ -1703,7 +1468,6 @@ class FleetRunner:
             agents,
             sessions,
             plan_chunk_size=self.plan_chunk_size,
-            plan_form=self.plan_form,
             exactness=self.exactness,
             kernel_block_size=self.kernel_block_size,
         )
@@ -1728,7 +1492,6 @@ class FleetRunner:
             [self.agents[i] for i in members],
             [self.sessions[i] for i in members],
             plan_chunk_size=self.plan_chunk_size,
-            plan_form=self.plan_form,
             exactness=self.exactness,
             kernel_block_size=self.kernel_block_size,
         )
@@ -2045,6 +1808,7 @@ class FleetRunner:
                     rows_np = np.asarray(rows, dtype=np.intp)
                     for t in range(n_interactions):
                         emit(rows_np, t)
+            self._repartition()  # a failed attempt restores from a pickle
         else:
             shards = [self._build_shard(*spec) for spec in specs]
             n_workers = min(self.n_workers, len(shards))
@@ -2058,11 +1822,7 @@ class FleetRunner:
                 from concurrent.futures import ThreadPoolExecutor
 
                 def run_shard(shard: _Shard) -> None:
-                    shard.prepare(
-                        n_interactions,
-                        track_expected=track_expected,
-                        result_window=result_window,
-                    )
+                    shard.prepare(n_interactions, result_window=result_window)
                     for t in range(n_interactions):
                         shard.step(t, rewards, actions_mat, expected, expected_ok)
                         if sink is not None:
@@ -2074,11 +1834,7 @@ class FleetRunner:
                         future.result()
             else:
                 for shard in shards:
-                    shard.prepare(
-                        n_interactions,
-                        track_expected=track_expected,
-                        result_window=result_window,
-                    )
+                    shard.prepare(n_interactions, result_window=result_window)
                 for t in range(n_interactions):
                     for shard in shards:
                         shard.step(t, rewards, actions_mat, expected, expected_ok)
@@ -2138,7 +1894,7 @@ class FleetRunner:
             # be retried, so it runs clean and unsupervised — the knob
             # must harden runs, never turn a passing one into a crash
             shard = self._build_shard(key, members, rows)
-            shard.prepare(n_interactions, track_expected=track_expected)
+            shard.prepare(n_interactions)
             for t in range(n_interactions):
                 shard.step(t, rewards, actions_mat, expected, expected_ok)
             shard.finish(rewards, actions_mat)
@@ -2150,7 +1906,7 @@ class FleetRunner:
             if plan is not None:
                 shard.arm_faults(plan, si, attempt)
             try:
-                shard.prepare(n_interactions, track_expected=track_expected)
+                shard.prepare(n_interactions)
                 for t in range(n_interactions):
                     shard.step(t, rewards, actions_mat, expected, expected_ok)
                 shard.finish(rewards, actions_mat)
@@ -2292,7 +2048,7 @@ class FleetRunner:
             for _, members, _ in specs:
                 for i in members:
                     session = self.sessions[i]
-                    if not getattr(session, "has_indexed_trace_plan", False):
+                    if not session.has_trace_plan:
                         continue
                     try:
                         table = session.trace_row_table()
@@ -2324,7 +2080,6 @@ class FleetRunner:
                             n_interactions,
                             track_expected,
                             self.plan_chunk_size,
-                            self.plan_form,
                             self.exactness,
                             self.kernel_block_size,
                             result_refs,
@@ -2480,6 +2235,7 @@ class FleetRunner:
             for i, agent, session in zip(members, s_agents, s_sessions):
                 self._adopt(self.agents[i], agent)
                 self._adopt(self.sessions[i], session)
+        self._repartition()
         if sink is not None:
             sink.finish()
             return None
@@ -2506,7 +2262,6 @@ class FleetRunner:
             "n_workers": self.n_workers,
             "worker_backend": self.worker_backend,
             "plan_chunk_size": self.plan_chunk_size,
-            "plan_form": self.plan_form,
             "exactness": self.exactness,
             "kernel_block_size": self.kernel_block_size,
             "persistent": self.persistent,
@@ -2608,7 +2363,6 @@ class FleetRunner:
             n_workers=int(engine.get("n_workers", 1)),
             worker_backend=engine.get("worker_backend", "thread"),
             plan_chunk_size=engine.get("plan_chunk_size"),
-            plan_form=engine.get("plan_form", "auto"),
             exactness=engine.get("exactness", "bit"),
             kernel_block_size=engine.get("kernel_block_size"),
             persistent=bool(engine.get("persistent", False)),
@@ -2727,6 +2481,19 @@ class FleetRunner:
             expected_mask=ok,
             dropped=tuple(dropped),
         )
+
+    def _repartition(self) -> None:
+        """Regroup the population after adopting pickled state.
+
+        Adoption rebinds each session's dataset to the copy its
+        pickle carried, so row tables — and the group keys built from
+        their identity — change; regrouping from the current sessions
+        keeps one row table per shard for later runs and churn.
+        Cached shards whose group key survives stay cached (reuse
+        still checks their members).
+        """
+        self._groups = _partition(self.agents, self.sessions)
+        self._shards = {k: v for k, v in self._shards.items() if k in self._groups}
 
     @staticmethod
     def _adopt(mine, theirs) -> None:

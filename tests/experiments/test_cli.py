@@ -64,11 +64,12 @@ class TestEngineFlag:
         from repro.cli import main
         from repro.experiments import runner
 
+        previous = runner.get_default_config()
         try:
             assert main(["fig3", "--engine", "sequential"]) == 0
-            assert runner.get_default_engine() == "sequential"
+            assert runner.get_default_config().engine == "sequential"
         finally:
-            runner.set_default_engine("auto")
+            runner.set_default_config(previous)
         capsys.readouterr()
 
 
@@ -94,11 +95,12 @@ class TestExactnessFlag:
     def test_exactness_flag_sets_process_default(self, capsys):
         from repro.experiments import runner
 
+        previous = runner.get_default_config()
         try:
             assert main(["fig3", "--exactness", "fast"]) == 0
-            assert runner.get_default_exactness() == "fast"
+            assert runner.get_default_config().exactness == "fast"
         finally:
-            runner.set_default_exactness("bit")
+            runner.set_default_config(previous)
         capsys.readouterr()
 
 

@@ -1,16 +1,17 @@
-"""EngineConfig: validation, defaults plumbing, and legacy-shim parity.
+"""EngineConfig: validation, defaults plumbing, and legacy-kwarg parity.
 
 The API redesign consolidated the engine kwarg pile into one frozen
 :class:`~repro.experiments.runner.EngineConfig`.  These tests pin the
 contract: construction validates every field, ``use_config`` scopes the
-process default, the deprecated ``set_default_*``/``get_default_*``
-pairs still work (warning), and — the load-bearing part — runs
-configured the old way and the new way are bit-identical.
+process default, old pickled configs still load, and — the
+load-bearing part — runs configured with the legacy per-call kwargs
+and with an ``EngineConfig`` are bit-identical.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -37,9 +38,9 @@ class TestConstruction:
         assert cfg.n_workers == 1
         assert cfg.worker_backend == "thread"
         assert cfg.plan_chunk_size is None
-        assert cfg.plan_form == "auto"
         assert cfg.exactness == "bit"
         assert cfg.sink is None
+        assert len(dataclasses.fields(cfg)) == 9
 
     def test_frozen(self):
         cfg = EngineConfig()
@@ -54,7 +55,7 @@ class TestConstruction:
             {"n_workers": -3},
             {"worker_backend": "fork"},
             {"plan_chunk_size": 0},
-            {"plan_form": "columnar"},
+            {"sweep_workers": 0},
             {"exactness": "approximate"},
         ],
     )
@@ -68,6 +69,22 @@ class TestConstruction:
         assert cfg.replace(engine="fleet").engine == "fleet"
         with pytest.raises(Exception, match="must be"):
             cfg.replace(engine="warp")
+
+    def test_pickled_removed_field_is_dropped(self):
+        # a config pickled while EngineConfig still had a plan_form
+        # field carries it in its state; loading keeps current fields only
+        old = EngineConfig()
+        object.__setattr__(old, "plan_form", "dense")
+        restored = pickle.loads(pickle.dumps(old))
+        assert restored == EngineConfig()
+        assert not hasattr(restored, "plan_form")
+
+    def test_pickled_state_missing_a_field_takes_its_default(self):
+        state = dict(EngineConfig(n_workers=3).__dict__)
+        del state["sweep_workers"]
+        restored = EngineConfig.__new__(EngineConfig)
+        restored.__setstate__(state)
+        assert restored == EngineConfig(n_workers=3)
 
     def test_set_default_config_rejects_non_config(self):
         with pytest.raises(ConfigError, match="EngineConfig"):
@@ -98,44 +115,6 @@ class TestUseConfig:
             assert active.n_workers == 2
 
 
-class TestDeprecatedShims:
-    @pytest.mark.parametrize(
-        "setter, getter, value",
-        [
-            ("set_default_engine", "get_default_engine", "sequential"),
-            ("set_default_n_workers", "get_default_n_workers", 4),
-            ("set_default_plan_chunk_size", "get_default_plan_chunk_size", 16),
-            ("set_default_exactness", "get_default_exactness", "fast"),
-        ],
-    )
-    def test_setter_getter_roundtrip_with_warning(self, setter, getter, value):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            getattr(runner, setter)(value)
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            assert getattr(runner, getter)() == value
-
-    def test_setters_compose_onto_one_config(self):
-        with pytest.warns(DeprecationWarning):
-            runner.set_default_engine("fleet")
-            runner.set_default_n_workers(2)
-            runner.set_default_plan_chunk_size(5)
-            runner.set_default_exactness("fast")
-        cfg = runner.get_default_config()
-        assert (cfg.engine, cfg.n_workers, cfg.plan_chunk_size, cfg.exactness) == (
-            "fleet",
-            2,
-            5,
-            "fast",
-        )
-
-    def test_setters_still_validate(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ConfigError):
-                runner.set_default_engine("warp")
-            with pytest.raises(ConfigError):
-                runner.set_default_exactness("approximate")
-
-
 def _workload():
     env = SyntheticPreferenceEnvironment(n_actions=4, n_features=6, seed=11)
     config = P2BConfig(
@@ -160,22 +139,13 @@ def _run(engine_arg, **legacy):
 
 
 class TestOldNewEquivalence:
-    """Every legacy kwarg/setter spelling must match its EngineConfig form."""
+    """Every legacy kwarg spelling must match its EngineConfig form."""
 
     def test_legacy_kwargs_equal_engine_config(self):
         old = _run("fleet", n_workers=2, plan_chunk_size=3)
         new = _run(EngineConfig(engine="fleet", n_workers=2, plan_chunk_size=3))
         np.testing.assert_array_equal(old.curve, new.curve)
         assert old.mean_reward == new.mean_reward
-
-    def test_legacy_setters_equal_engine_config_default(self):
-        with pytest.warns(DeprecationWarning):
-            runner.set_default_engine("fleet")
-            runner.set_default_plan_chunk_size(3)
-        old = _run(None)
-        runner.set_default_config(EngineConfig(engine="fleet", plan_chunk_size=3))
-        new = _run(None)
-        np.testing.assert_array_equal(old.curve, new.curve)
 
     def test_use_config_equals_explicit_argument(self):
         cfg = EngineConfig(engine="fleet", plan_chunk_size=3)

@@ -3,8 +3,8 @@
 The golden test: run a horizon with checkpointing, crash mid-horizon
 (the dispatcher raises partway through), resume from the snapshot —
 rewards, actions and every policy's state must equal the run that was
-never interrupted.  Pinned across backends, exactness tiers, plan
-forms and chunked plans.
+never interrupted.  Pinned across backends, exactness tiers, chunked
+plans and populations over one or two datasets.
 """
 
 from __future__ import annotations
@@ -42,19 +42,27 @@ def _population(seed, n_agents=9):
     return agents, sessions
 
 
-_ML_DATASET = make_multilabel_dataset(90, N_FEATURES, N_ACTIONS, n_clusters=4, seed=0)
+_ML_DATASETS = [
+    make_multilabel_dataset(90, N_FEATURES, N_ACTIONS, n_clusters=4, seed=seed)
+    for seed in (0, 1)
+]
 
 
-def _traced_population(seed, n_agents=6):
-    """Multilabel (trace-plan) sessions: every plan form applies."""
-    env = MultilabelBanditEnvironment(_ML_DATASET, samples_per_user=6, seed=1)
+def _traced_population(seed, n_agents=6, n_datasets=1):
+    """Multilabel (trace-plan) sessions: the traced plan path.  With
+    ``n_datasets=2`` users alternate between two datasets, so the
+    population partitions into one traced shard per row table."""
+    envs = [
+        MultilabelBanditEnvironment(dataset, samples_per_user=6, seed=1)
+        for dataset in _ML_DATASETS[:n_datasets]
+    ]
     kinds = [LinUCB, EpsilonGreedy, UCB1]
     agents, sessions = [], []
     for i, s in enumerate(spawn_seeds(seed, n_agents)):
         policy_seed, session_seed = s.spawn(2)
         policy = kinds[i % 3](n_arms=N_ACTIONS, n_features=N_FEATURES, seed=policy_seed)
         agents.append(LocalAgent(f"u{i}", policy, mode="cold"))
-        sessions.append(env.new_user(session_seed))
+        sessions.append(envs[i % n_datasets].new_user(session_seed))
     return agents, sessions
 
 
@@ -119,32 +127,60 @@ class TestGoldenCrashAndResume:
 class TestRoundTripMatrix:
     @pytest.mark.parametrize("backend", ["thread", "process"])
     @pytest.mark.parametrize("exactness", ["bit", "fast"])
-    @pytest.mark.parametrize("plan_form", ["indexed", "dense"])
+    @pytest.mark.parametrize(
+        "n_datasets", [1, 2], ids=["one-dataset", "two-datasets"]
+    )
     @pytest.mark.parametrize("chunk", [None, 2])
     def test_checkpointed_equals_uninterrupted(
-        self, backend, exactness, plan_form, chunk, tmp_path, monkeypatch
+        self, backend, exactness, n_datasets, chunk, tmp_path, monkeypatch
     ):
         path = tmp_path / "fleet.ckpt"
-        knobs = dict(
-            worker_backend=backend,
-            exactness=exactness,
-            plan_form=plan_form,
-            plan_chunk_size=chunk,
-        )
-        agents_a, sessions_a = _traced_population(2)
+        knobs = dict(worker_backend=backend, exactness=exactness, plan_chunk_size=chunk)
+        agents_a, sessions_a = _traced_population(2, n_datasets=n_datasets)
         base = FleetRunner(agents_a, sessions_a, **knobs).run(6)
 
-        agents_b, sessions_b = _traced_population(2)
+        agents_b, sessions_b = _traced_population(2, n_datasets=n_datasets)
         runner = FleetRunner(agents_b, sessions_b, **knobs)
+        # one shard per (policy kind, dataset)
+        assert runner.n_shards == 3 * n_datasets
         restore = _crash_on_call(monkeypatch, 2)
         with pytest.raises(RuntimeError, match="simulated crash"):
             runner.run(6, checkpoint_every=2, checkpoint_path=path)
         restore()
 
         resumed = FleetRunner.resume(path)
+        assert resumed.n_shards == 3 * n_datasets
         # the snapshot carries the engine knobs verbatim
         for key, value in knobs.items():
             assert resumed._engine_dict()[key] == value
+        result = resumed.resume_run()
+        _assert_run_identical(base, result, agents_a, resumed.agents)
+
+    def test_snapshot_with_a_removed_engine_knob_resumes(self, tmp_path, monkeypatch):
+        """A snapshot written while the engine still had a ``plan_form``
+        knob stores it in its engine dict; resume ignores it and still
+        finishes bit-identically."""
+        path = tmp_path / "fleet.ckpt"
+        agents_a, sessions_a = _traced_population(2)
+        base = FleetRunner(agents_a, sessions_a, plan_chunk_size=2).run(6)
+
+        agents_b, sessions_b = _traced_population(2)
+        runner = FleetRunner(agents_b, sessions_b, plan_chunk_size=2)
+        real = FleetRunner._engine_dict
+        monkeypatch.setattr(
+            FleetRunner,
+            "_engine_dict",
+            lambda self: {**real(self), "plan_form": "dense"},
+        )
+        restore = _crash_on_call(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match="simulated crash"):
+            runner.run(6, checkpoint_every=2, checkpoint_path=path)
+        restore()
+        monkeypatch.setattr(FleetRunner, "_engine_dict", real)
+        assert load_checkpoint(path).engine["plan_form"] == "dense"
+
+        resumed = FleetRunner.resume(path)
+        assert "plan_form" not in resumed._engine_dict()
         result = resumed.resume_run()
         _assert_run_identical(base, result, agents_a, resumed.agents)
 

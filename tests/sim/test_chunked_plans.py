@@ -2,12 +2,11 @@
 
 ``FleetRunner(plan_chunk_size=C)`` re-plans sessions every ``C`` steps
 instead of materializing the whole horizon.  These suites pin the edge
-cases the ISSUE names: horizons not divisible by the chunk size,
-participation windows straddling a chunk boundary (the dense history
-tail), collection rounds landing mid-chunk (``DeploymentLoop``), and
-chunk sizes at or above the horizon degenerating to exactly the
-unchunked path — all bit-identical to the sequential reference on both
-trace forms and on stationary plans.
+cases: horizons not divisible by the chunk size, participation windows
+straddling a chunk boundary, collection rounds landing mid-chunk
+(``DeploymentLoop``), and chunk sizes at or above the horizon
+degenerating to exactly the unchunked path — all bit-identical to the
+sequential reference on traced and on stationary plans.
 """
 
 from __future__ import annotations
@@ -128,12 +127,11 @@ def _assert_agents_identical(agents_a, agents_b):
 
 
 # --------------------------------------------------------------------- #
-# chunked == sequential, both trace forms, awkward chunk sizes
+# chunked == sequential, awkward chunk sizes
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("env_factory", [_ml_env, _criteo_env], ids=["multilabel", "criteo"])
-@pytest.mark.parametrize("plan_form", ["indexed", "dense"])
 @pytest.mark.parametrize("chunk", [1, 5, 7, 16, 40])
-def test_chunked_replay_matches_sequential(env_factory, plan_form, chunk, encoder):
+def test_chunked_replay_matches_sequential(env_factory, chunk, encoder):
     """T = 16 with chunks of 1 / 5 / 7 (not divisors), 16 (exact) and
     40 (> T): warm-private populations with window-3 participation —
     windows straddle every chunk boundary — stay bit-identical to the
@@ -150,9 +148,7 @@ def test_chunked_replay_matches_sequential(env_factory, plan_form, chunk, encode
         env_factory, _code_linucb, AgentMode.WARM_PRIVATE, n_agents, seed,
         encoder=encoder,
     )
-    FleetRunner(
-        fleet_agents, fleet_sessions, plan_form=plan_form, plan_chunk_size=chunk
-    ).run(n_interactions)
+    FleetRunner(fleet_agents, fleet_sessions, plan_chunk_size=chunk).run(n_interactions)
     _assert_agents_identical(seq_agents, fleet_agents)
 
 
@@ -209,13 +205,13 @@ def test_block_noise_draws_split_like_scalar_draws():
 
 
 # --------------------------------------------------------------------- #
-# participation windows straddling chunk boundaries (the history tail)
+# participation windows straddling chunk boundaries
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("env_factory", [_ml_env, _criteo_env], ids=["multilabel", "criteo"])
 def test_window_larger_than_chunk_straddles_boundaries(env_factory, encoder):
     """window = 5 > chunk = 2 with p = 1: every report samples from a
     window spanning multiple chunks, so the payload gather must reach
-    through the dense history tail — still identical reports."""
+    back through the row walk — still identical reports."""
     n_agents, n_interactions, seed = 8, 17, 31
     kwargs = dict(encoder=encoder, p=1.0, window=5, max_reports=3)
     seq_agents, seq_sessions = make_population(
@@ -228,9 +224,7 @@ def test_window_larger_than_chunk_straddles_boundaries(env_factory, encoder):
     fleet_agents, fleet_sessions = make_population(
         env_factory, _code_linucb, AgentMode.WARM_PRIVATE, n_agents, seed, **kwargs
     )
-    FleetRunner(
-        fleet_agents, fleet_sessions, plan_form="dense", plan_chunk_size=2
-    ).run(n_interactions)
+    FleetRunner(fleet_agents, fleet_sessions, plan_chunk_size=2).run(n_interactions)
     _assert_agents_identical(seq_agents, fleet_agents)
 
 
@@ -249,14 +243,11 @@ def test_window_never_fills_across_chunks(encoder):
     fleet_agents, fleet_sessions = make_population(
         _ml_env, _code_linucb, AgentMode.WARM_PRIVATE, n_agents, seed, **kwargs
     )
-    FleetRunner(
-        fleet_agents, fleet_sessions, plan_form="dense", plan_chunk_size=3
-    ).run(n_interactions)
+    FleetRunner(fleet_agents, fleet_sessions, plan_chunk_size=3).run(n_interactions)
     _assert_agents_identical(seq_agents, fleet_agents)
 
 
-@pytest.mark.parametrize("plan_form", ["indexed", "dense"])
-def test_raw_payloads_straddle_boundaries(plan_form, encoder):
+def test_raw_payloads_straddle_boundaries(encoder):
     """Warm-nonprivate shards carry raw contexts in reports; the
     context gather crosses chunk boundaries too."""
     n_agents, n_interactions, seed = 7, 13, 23
@@ -270,9 +261,7 @@ def test_raw_payloads_straddle_boundaries(plan_form, encoder):
     fleet_agents, fleet_sessions = make_population(
         _ml_env, _linucb, AgentMode.WARM_NONPRIVATE, n_agents, seed, **kwargs
     )
-    FleetRunner(
-        fleet_agents, fleet_sessions, plan_form=plan_form, plan_chunk_size=3
-    ).run(n_interactions)
+    FleetRunner(fleet_agents, fleet_sessions, plan_chunk_size=3).run(n_interactions)
     _assert_agents_identical(seq_agents, fleet_agents)
 
 
@@ -281,7 +270,7 @@ def test_raw_payloads_straddle_boundaries(plan_form, encoder):
 # --------------------------------------------------------------------- #
 def test_chunk_at_least_horizon_is_the_unchunked_path(encoder):
     """chunk >= T resolves to a single whole-horizon chunk: one plan
-    call per session, no history tail — the unchunked path, exactly."""
+    call per session — the unchunked path, exactly."""
     agents, sessions = make_population(
         _ml_env, _code_linucb, AgentMode.WARM_PRIVATE, 5, 2, encoder=encoder
     )
@@ -299,7 +288,6 @@ def test_chunk_at_least_horizon_is_the_unchunked_path(encoder):
     finally:
         type(sessions[0]).plan_trace_indexed = real
     assert shard._chunk == 8 and shard._chunk_len == 8
-    assert shard._hist_len == 0
     assert calls["n"] == len(sessions)
 
 

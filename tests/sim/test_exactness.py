@@ -555,7 +555,7 @@ class TestPlanBytesAccounting:
         from repro.sim.fleet import shard_indices
 
         agents, sessions = self._two_shard_population(0, ml_encoder)
-        groups = shard_indices(agents)
+        groups = shard_indices(agents, sessions)
         assert len(groups) == 2
         shards = [
             _Shard(idx, [agents[i] for i in idx], [sessions[i] for i in idx])
@@ -563,7 +563,7 @@ class TestPlanBytesAccounting:
         ]
         for shard in shards:
             shard.prepare(10)
-        assert all(shard.indexed for shard in shards)
+        assert all(shard.traced for shard in shards)
         table = shards[0]._row_table
         assert shards[1]._row_table is table  # the PR-5 aliasing
 
@@ -579,7 +579,7 @@ class TestPlanBytesAccounting:
         from repro.sim.fleet import shard_indices
 
         agents, sessions = self._two_shard_population(1, ml_encoder)
-        idx = shard_indices(agents)[0]
+        idx = shard_indices(agents, sessions)[0]
         shard = _Shard(
             idx, [agents[i] for i in idx], [sessions[i] for i in idx]
         )
@@ -617,11 +617,10 @@ class TestHarnessPlumbing:
     def test_default_exactness_round_trip(self):
         from repro.experiments import runner
 
-        assert runner.get_default_exactness() == "bit"
-        try:
-            runner.set_default_exactness("fast")
-            assert runner.get_default_exactness() == "fast"
+        assert runner.get_default_config().exactness == "bit"
+        with runner.use_config(exactness="fast"):
+            assert runner.get_default_config().exactness == "fast"
             with pytest.raises(ConfigError, match="exactness"):
-                runner.set_default_exactness("warp")
-        finally:
-            runner.set_default_exactness("bit")
+                with runner.use_config(exactness="warp"):
+                    pass
+        assert runner.get_default_config().exactness == "bit"

@@ -30,7 +30,7 @@ class TestFleetSupportedEdgeCases:
         assert not fleet_supported([])
 
     def test_empty_population_shard_partition_is_empty(self):
-        assert shard_indices([]) == []
+        assert shard_indices([], []) == []
 
     def test_single_agent_population_supported(self):
         agents, sessions = make_population(

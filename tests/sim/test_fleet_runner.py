@@ -9,11 +9,7 @@ from repro.bandits import EpsilonGreedy, LinUCB, RandomPolicy
 from repro.core.config import AgentMode, P2BConfig
 from repro.core.system import P2BSystem
 from repro.data.synthetic import SyntheticPreferenceEnvironment
-from repro.experiments.runner import (
-    get_default_engine,
-    run_setting,
-    set_default_engine,
-)
+from repro.experiments.runner import get_default_config, run_setting, use_config
 from repro.sim import FleetRunner, fleet_supported
 from repro.utils.exceptions import ConfigError
 
@@ -96,14 +92,14 @@ class TestEngineDispatch:
                         eval_interactions=2, seed=0, engine="warp")
 
     def test_default_engine_round_trip(self):
-        assert get_default_engine() == "auto"
-        try:
-            set_default_engine("sequential")
-            assert get_default_engine() == "sequential"
+        assert get_default_config().engine == "auto"
+        with use_config(engine="sequential"):
+            assert get_default_config().engine == "sequential"
             with pytest.raises(ConfigError):
-                set_default_engine("warp")
-        finally:
-            set_default_engine("auto")
+                with use_config(engine="warp"):
+                    pass
+            assert get_default_config().engine == "sequential"
+        assert get_default_config().engine == "auto"
 
 
 class TestFleetResult:

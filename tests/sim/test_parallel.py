@@ -19,11 +19,7 @@ from repro.core.config import AgentMode, P2BConfig
 from repro.core.rounds import DeploymentLoop
 from repro.data.multilabel import MultilabelBanditEnvironment, make_multilabel_dataset
 from repro.data.synthetic import SyntheticPreferenceEnvironment
-from repro.experiments.runner import (
-    get_default_n_workers,
-    run_setting,
-    set_default_n_workers,
-)
+from repro.experiments.runner import get_default_config, run_setting, use_config
 from repro.sim import FleetRunner
 from repro.utils.exceptions import ConfigError
 from repro.utils.rng import spawn_seeds
@@ -69,7 +65,7 @@ class TestThreadBackend:
     def test_parallel_identical_to_serial(self):
         a1, s1 = _mixed_population(0)
         serial = FleetRunner(a1, s1)
-        assert serial.n_shards == 3
+        assert serial.n_shards == 6  # 3 policy kinds x {traced, stationary}
         r1 = serial.run(14, track_expected=True)
 
         a2, s2 = _mixed_population(0)
@@ -206,12 +202,10 @@ class TestValidationAndPlumbing:
             FleetRunner(agents, sessions, worker_backend="gpu")
 
     def test_default_n_workers_round_trip(self):
-        assert get_default_n_workers() == 1
-        try:
-            set_default_n_workers(4)
-            assert get_default_n_workers() == 4
-        finally:
-            set_default_n_workers(1)
+        assert get_default_config().n_workers == 1
+        with use_config(n_workers=4):
+            assert get_default_config().n_workers == 4
+        assert get_default_config().n_workers == 1
 
     def test_run_setting_n_workers_identical(self):
         config = P2BConfig(n_actions=N_ACTIONS, n_features=N_FEATURES, n_codes=8)

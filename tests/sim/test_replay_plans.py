@@ -3,7 +3,7 @@
 Golden equivalence suites pinning fleet-vs-sequential bit-identity on
 the multilabel and Criteo populations (every mode, including private
 contexts, participation refusals and the shuffler release), the
-``plan_trace`` exactness contract (same values, same generator
+``plan_trace_indexed`` exactness contract (same values, same generator
 consumption, same session state as the sequential walk), and the
 capability-flag regression: sessions that *inherit* a working plan
 stay on the fast path, and shards mixing plan-capable and plan-less
@@ -114,12 +114,13 @@ def _code_linucb(n_arms, n_features, seed):
 
 
 # --------------------------------------------------------------------- #
-# plan_trace exactness contract
+# plan_trace_indexed exactness contract
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("env_factory", [_ml_env, _criteo_env], ids=["multilabel", "criteo"])
 def test_plan_trace_is_exact_stand_in_for_sequential_walk(env_factory):
     """Contexts, rewards, generator consumption and walk state after
-    ``plan_trace(T)`` are identical to ``T`` sequential interactions."""
+    ``plan_trace_indexed(T)`` are identical to ``T`` sequential
+    interactions."""
     horizon = 20  # > samples/impressions per user => reshuffles happen
     walker = env_factory().new_user(11)
     contexts, rewards, expected = [], [], []
@@ -133,12 +134,11 @@ def test_plan_trace_is_exact_stand_in_for_sequential_walk(env_factory):
         expected.append(walker.expected_rewards())
 
     planner = env_factory().new_user(11)
-    plan = planner.plan_trace(horizon)
-    np.testing.assert_array_equal(np.stack(contexts), plan.contexts)
+    plan = planner.plan_trace_indexed(horizon)
+    np.testing.assert_array_equal(np.stack(contexts), plan.table.contexts[plan.rows])
     np.testing.assert_array_equal(np.asarray(rewards), plan.realize(actions))
-    steps = np.arange(horizon)
     np.testing.assert_array_equal(
-        np.stack(expected), plan.expected[steps].astype(np.float64)
+        np.stack(expected), plan.table.expected[plan.rows].astype(np.float64)
     )
     # post-plan state: generator, walk cursors, current row
     assert planner._rng.bit_generator.state == walker._rng.bit_generator.state
@@ -155,7 +155,7 @@ def test_plan_trace_rejects_bad_horizon():
 
     session = _ml_env().new_user(0)
     with pytest.raises(ValidationError):
-        session.plan_trace(0)
+        session.plan_trace_indexed(0)
 
 
 # --------------------------------------------------------------------- #
@@ -286,7 +286,7 @@ def _cold_agents(n, seed):
 
 def test_plan_inheriting_subclasses_stay_on_fast_path():
     """Regression for the old method-identity probe: subclasses that
-    inherit ``plan_trace`` / ``plan_rewards`` must keep the fast path
+    inherit ``plan_trace_indexed`` / ``plan_rewards`` must keep the fast path
     (the capability flags are inherited class attributes)."""
     env = _ml_env()
     sessions = [env.new_user(s) for s in spawn_seeds(3, 4)]
@@ -313,7 +313,8 @@ def test_plan_inheriting_subclasses_stay_on_fast_path():
 
 def test_mixed_capability_shard_falls_back_to_generic():
     """One shard holding stationary *and* traced sessions takes the
-    generic per-round path (neither flag holds for all) — and stays
+    generic per-round path (neither flag holds for all); the runner
+    never builds one — it partitions by session kind — and both stay
     bit-identical to the sequential reference."""
     syn = SyntheticPreferenceEnvironment(
         n_actions=N_ACTIONS, n_features=N_FEATURES, seed=2
@@ -327,22 +328,30 @@ def test_mixed_capability_shard_falls_back_to_generic():
             sessions.append(syn.new_user(s) if i % 2 else env.new_user(s))
         return agents, sessions
 
-    fleet_agents, fleet_sessions = build(9)
-    runner = FleetRunner(fleet_agents, fleet_sessions)
-    assert runner.n_shards == 1  # same policy config => one shard
-    shard = _Shard(np.arange(6), fleet_agents, fleet_sessions)
-    shard.prepare(5)
-    assert not shard.stationary and not shard.traced
-
     seq_agents, seq_sessions = build(9)
     seq_rewards = np.stack(
         [_simulate_agent(a, s, 8)[0] for a, s in zip(seq_agents, seq_sessions)]
     )
-    # fresh runner (the probe shard above consumed nothing: prepare on a
-    # mixed shard is a no-op by design)
+
+    shard_agents, shard_sessions = build(9)
+    shard = _Shard(np.arange(6), shard_agents, shard_sessions)
+    shard.prepare(8)
+    assert not shard.stationary and not shard.traced
+    rewards = np.empty((6, 8), dtype=np.float64)
+    actions = np.empty((6, 8), dtype=np.intp)
+    for t in range(8):
+        shard.step(t, rewards, actions, None, np.zeros(6, dtype=bool))
+    shard.finish(rewards, actions)
+    shard.stacked.writeback()
+    np.testing.assert_array_equal(seq_rewards, rewards)
+
+    fleet_agents, fleet_sessions = build(9)
+    runner = FleetRunner(fleet_agents, fleet_sessions)
+    assert runner.n_shards == 2  # one stationary shard, one traced shard
     result = runner.run(8)
     np.testing.assert_array_equal(seq_rewards, result.rewards)
-    for sa, fa in zip(seq_agents, fleet_agents):
+    for sa, sh, fa in zip(seq_agents, shard_agents, fleet_agents):
+        assert_states_equal(sa.policy, sh.policy)
         assert_states_equal(sa.policy, fa.policy)
 
 

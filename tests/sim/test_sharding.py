@@ -114,7 +114,7 @@ class TestShardPartition:
         # the 10-entry spec has 9 distinct configurations (the last
         # entry repeats the first), each appearing in both copies
         assert runner.n_shards == 9
-        groups = shard_indices(agents)
+        groups = shard_indices(agents, sessions)
         assert sorted(int(i) for g in groups for i in g) == list(range(len(agents)))
         for group in groups:
             keys = {shard_key(agents[int(i)]) for i in group}

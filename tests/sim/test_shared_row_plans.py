@@ -1,15 +1,15 @@
-"""Shared-row-table trace plans: the indexed plan form end to end.
+"""Shared-row-table trace plans end to end.
 
 Pins the :meth:`plan_trace_indexed` contract (same walk, same generator
-consumption, same realized values as the dense ``plan_trace``), the
-per-dataset table sharing (one :class:`TraceRowTable` object per
-dataset, aliasing the dataset's own arrays where possible), and the
-fleet-engine consequences: indexed shards are bit-identical to the
-dense form and to the sequential reference on the multilabel and
-Criteo populations across every mode, report payloads gather through
-the same row indices (each dataset row encoded at most once per
-encoder), and the per-agent plan footprint shrinks by the A-fold the
-ROADMAP promises.
+consumption, same realized values as the sequential
+``next_context()``/``reward()`` loop), the per-dataset table sharing
+(one :class:`TraceRowTable` object per dataset, aliasing the dataset's
+own arrays where possible), and the fleet-engine consequences: traced
+shards are bit-identical to the sequential reference on the multilabel
+and Criteo populations across every mode, a population over several
+datasets partitions into one shard per dataset, report payloads gather
+through the same row indices (each dataset row encoded at most once per
+encoder), and the per-agent plan footprint is just the row walk.
 """
 
 from __future__ import annotations
@@ -26,10 +26,9 @@ from repro.data.criteo import (
     build_criteo_actions,
     make_criteo_like,
 )
-from repro.data.environment import TracePlan
 from repro.data.multilabel import MultilabelBanditEnvironment, make_multilabel_dataset
 from repro.experiments.runner import _simulate_agent
-from repro.sim import FleetRunner
+from repro.sim import FleetRunner, shard_indices
 from repro.sim.fleet import _Shard
 from repro.utils.exceptions import ConfigError
 from repro.utils.rng import spawn_seeds
@@ -51,6 +50,20 @@ def _ml_env():
 
 def _criteo_env():
     return CriteoBanditEnvironment(_CRITEO_DATASET, impressions_per_user=9, seed=1)
+
+
+class _TwoDatasetEnv:
+    """``new_user`` alternates between a multilabel and a Criteo
+    environment: a population over two datasets (and row tables)."""
+
+    def __init__(self):
+        self._envs = (_ml_env(), _criteo_env())
+        self._n_users = 0
+
+    def new_user(self, seed):
+        env = self._envs[self._n_users % 2]
+        self._n_users += 1
+        return env.new_user(seed)
 
 
 @pytest.fixture(scope="module")
@@ -112,40 +125,41 @@ def _code_linucb(n_arms, n_features, seed):
 # plan_trace_indexed contract
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("env_factory", [_ml_env, _criteo_env], ids=["multilabel", "criteo"])
-def test_indexed_plan_realizes_the_dense_walk(env_factory):
-    """Same walk as ``plan_trace``: gathered values, generator
-    consumption and post-plan session state all coincide."""
+def test_indexed_plan_realizes_the_sequential_walk(env_factory):
+    """Same walk as ``next_context()``/``reward()``: gathered contexts,
+    every action's reward row, generator consumption and post-plan
+    session state all coincide."""
     horizon = 20  # > samples/impressions per user => reshuffles happen
-    dense_session = env_factory().new_user(11)
+    walker = env_factory().new_user(11)
+    contexts, reward_rows = [], []
+    for _ in range(horizon):
+        contexts.append(walker.next_context())
+        # reward() may be asked about several actions for one context
+        reward_rows.append([walker.reward(a) for a in range(N_ACTIONS)])
+    reward_rows = np.asarray(reward_rows)
     indexed_session = env_factory().new_user(11)
-    dense = dense_session.plan_trace(horizon)
     indexed = indexed_session.plan_trace_indexed(horizon)
 
     assert indexed.horizon == horizon
     table = indexed.table
-    np.testing.assert_array_equal(dense.contexts, table.contexts[indexed.rows])
-    np.testing.assert_array_equal(dense.action_rewards, table.action_rewards[indexed.rows])
+    np.testing.assert_array_equal(np.stack(contexts), table.contexts[indexed.rows])
+    np.testing.assert_array_equal(
+        reward_rows, table.action_rewards[indexed.rows].astype(np.float64)
+    )
     actions = np.random.default_rng(5).integers(0, N_ACTIONS, size=horizon)
-    np.testing.assert_array_equal(dense.realize(actions), indexed.realize(actions))
-
-    densified = indexed.densify()
-    assert isinstance(densified, TracePlan)
-    np.testing.assert_array_equal(dense.contexts, densified.contexts)
-    np.testing.assert_array_equal(dense.action_rewards, densified.action_rewards)
-    # logged data: expected aliases realized in both forms
-    assert densified.expected is densified.action_rewards
+    np.testing.assert_array_equal(
+        reward_rows[np.arange(horizon), actions], indexed.realize(actions)
+    )
+    # logged data: expected aliases realized
     assert table.expected is table.action_rewards
 
-    # generator and walk state: the two plan forms are interchangeable
-    assert (
-        dense_session._rng.bit_generator.state
-        == indexed_session._rng.bit_generator.state
-    )
-    assert dense_session._cursor == indexed_session._cursor
-    np.testing.assert_array_equal(dense_session._order, indexed_session._order)
+    # generator and walk state: the plan is interchangeable with the loop
+    assert walker._rng.bit_generator.state == indexed_session._rng.bit_generator.state
+    assert walker._cursor == indexed_session._cursor
+    np.testing.assert_array_equal(walker._order, indexed_session._order)
     for _ in range(5):
         np.testing.assert_array_equal(
-            dense_session.next_context(), indexed_session.next_context()
+            walker.next_context(), indexed_session.next_context()
         )
 
 
@@ -172,18 +186,21 @@ def test_multilabel_table_aliases_the_dataset():
     assert table.n_actions == N_ACTIONS
 
 
-def test_criteo_table_matches_reward_rows():
+def test_criteo_table_matches_scalar_reward():
     """The Criteo table is the per-row one-hot-and-clicked expansion —
-    bit-equal to what ``_reward_rows`` computes on the fly."""
+    bit-equal to what ``reward()`` returns on every row."""
     session = _criteo_env().new_user(0)
     table = session.trace_row_table()
-    rows = np.arange(_CRITEO_DATASET.n_samples)
-    np.testing.assert_array_equal(table.action_rewards, session._reward_rows(rows))
+    scalar = np.empty(table.action_rewards.shape, dtype=np.float64)
+    for row in range(_CRITEO_DATASET.n_samples):
+        session._current = row
+        scalar[row] = [session.reward(a) for a in range(N_ACTIONS)]
+    np.testing.assert_array_equal(table.action_rewards.astype(np.float64), scalar)
     assert table.contexts is _CRITEO_DATASET.X
 
 
 # --------------------------------------------------------------------- #
-# golden fleet equivalence: indexed vs dense vs sequential
+# golden fleet equivalence: traced shards vs sequential
 # --------------------------------------------------------------------- #
 def _combos():
     yield _linucb, AgentMode.COLD, "one-hot"
@@ -201,9 +218,8 @@ def _combos():
 def test_indexed_fleet_matches_sequential(
     env_factory, factory, mode, private_context, encoder
 ):
-    """The tentpole golden: the shared-row-table engine (insisted via
-    ``plan_form='indexed'``) reproduces the sequential loop bit for bit
-    on both datasets across every mode."""
+    """The golden: the shared-row-table engine reproduces the
+    sequential loop bit for bit on both datasets across every mode."""
     n_agents, n_interactions, seed = 9, 16, 42
     seq_agents, seq_sessions = make_population(
         env_factory, factory, mode, n_agents, seed,
@@ -220,8 +236,9 @@ def test_indexed_fleet_matches_sequential(
             for a, s in zip(seq_agents, seq_sessions)
         ]
     )
-    runner = FleetRunner(fleet_agents, fleet_sessions, plan_form="indexed")
+    runner = FleetRunner(fleet_agents, fleet_sessions, persistent=True)
     result = runner.run(n_interactions)
+    assert all(shard.traced for shard in runner._shards.values())
     np.testing.assert_array_equal(seq_rewards, result.rewards)
     for sa, fa in zip(seq_agents, fleet_agents):
         assert sa.n_interactions == fa.n_interactions
@@ -230,50 +247,32 @@ def test_indexed_fleet_matches_sequential(
     assert_outboxes_equal(seq_agents, fleet_agents)
 
 
-@pytest.mark.parametrize("env_factory", [_ml_env, _criteo_env], ids=["multilabel", "criteo"])
-def test_indexed_and_dense_forms_are_interchangeable(env_factory, encoder):
-    """``plan_form`` never changes results: rewards, actions, policy
-    states and reports agree bit-for-bit between the two trace forms."""
-    n_agents, n_interactions, seed = 10, 14, 7
-
-    def run(plan_form):
-        agents, sessions = make_population(
-            env_factory, _code_linucb, AgentMode.WARM_PRIVATE, n_agents, seed,
-            encoder=encoder,
-        )
-        result = FleetRunner(agents, sessions, plan_form=plan_form).run(n_interactions)
-        return agents, result
-
-    idx_agents, idx_result = run("indexed")
-    dense_agents, dense_result = run("dense")
-    np.testing.assert_array_equal(idx_result.rewards, dense_result.rewards)
-    np.testing.assert_array_equal(idx_result.actions, dense_result.actions)
-    for ia, da in zip(idx_agents, dense_agents):
-        assert_states_equal(ia.policy, da.policy)
-    assert_outboxes_equal(idx_agents, dense_agents)
+def _sequential(agents, sessions, n_interactions):
+    """Reference rewards and expected rewards, one row per agent."""
+    runs = [
+        _simulate_agent(a, s, n_interactions, track_expected=True)
+        for a, s in zip(agents, sessions)
+    ]
+    return np.stack([r for r, _ in runs]), np.stack([e for _, e in runs])
 
 
-def test_expected_channel_identical_across_forms(encoder):
+def test_expected_channel_matches_sequential():
     """``track_expected`` gathers through the shared expected table."""
     n_agents, n_interactions, seed = 8, 12, 3
-
-    def run(plan_form):
-        agents, sessions = make_population(
-            _ml_env, _linucb, AgentMode.COLD, n_agents, seed
-        )
-        return FleetRunner(agents, sessions, plan_form=plan_form).run(
-            n_interactions, track_expected=True
-        )
-
-    idx, dense = run("indexed"), run("dense")
-    assert idx.expected is not None and dense.expected is not None
-    np.testing.assert_array_equal(idx.expected, dense.expected)
-    np.testing.assert_array_equal(idx.expected_mask, dense.expected_mask)
-    np.testing.assert_array_equal(idx.measured(), dense.measured())
+    seq_agents, seq_sessions = make_population(
+        _ml_env, _linucb, AgentMode.COLD, n_agents, seed
+    )
+    seq_rewards, seq_expected = _sequential(seq_agents, seq_sessions, n_interactions)
+    agents, sessions = make_population(_ml_env, _linucb, AgentMode.COLD, n_agents, seed)
+    result = FleetRunner(agents, sessions).run(n_interactions, track_expected=True)
+    assert result.expected_mask.all()
+    np.testing.assert_array_equal(seq_rewards, result.rewards)
+    np.testing.assert_array_equal(seq_expected, result.expected)
+    np.testing.assert_array_equal(seq_expected, result.measured())
 
 
 # --------------------------------------------------------------------- #
-# form selection and fallbacks
+# one shard, one row table
 # --------------------------------------------------------------------- #
 def _cold_agents(n, seed):
     return [
@@ -284,67 +283,131 @@ def _cold_agents(n, seed):
     ]
 
 
-def test_auto_picks_indexed_for_one_dataset():
+def test_one_dataset_shard_is_traced():
     env = _ml_env()
     sessions = [env.new_user(s) for s in spawn_seeds(3, 4)]
     shard = _Shard(np.arange(4), _cold_agents(4, 0), sessions)
     shard.prepare(6)
-    assert shard.indexed and shard.traced and not shard.stationary
+    assert shard.traced and not shard.stationary
 
 
-def test_mixed_dataset_shard_falls_back_to_dense():
-    """Sessions over *different* datasets share no table, so the shard
-    takes the dense per-agent form — and stays bit-identical."""
-    other = make_multilabel_dataset(90, N_FEATURES, N_ACTIONS, n_clusters=3, seed=5)
+def test_mixed_dataset_shard_raises():
+    """A shard built directly over sessions walking two datasets has no
+    single row table to gather through."""
+    env = _TwoDatasetEnv()
+    sessions = [env.new_user(s) for s in spawn_seeds(9, 4)]
+    with pytest.raises(ConfigError, match="row tables"):
+        _Shard(np.arange(4), _cold_agents(4, 1), sessions)
 
-    def build(seed):
-        env_a = _ml_env()
-        env_b = MultilabelBanditEnvironment(other, samples_per_user=6, seed=2)
-        agents = _cold_agents(6, seed)
-        sessions = [
-            (env_a if i % 2 else env_b).new_user(s)
-            for i, s in enumerate(spawn_seeds(seed + 50, 6))
-        ]
-        return agents, sessions
 
-    agents, sessions = build(9)
-    shard = _Shard(np.arange(6), agents, sessions)
-    shard.prepare(5)
-    assert shard.traced and not shard.indexed
-
-    with pytest.raises(ConfigError, match="different datasets"):
-        probe = _Shard(np.arange(6), *build(9), plan_form="indexed")
-        probe.prepare(5)
-
-    seq_agents, seq_sessions = build(13)
-    seq_rewards = np.stack(
-        [_simulate_agent(a, s, 8)[0] for a, s in zip(seq_agents, seq_sessions)]
+def _two_dataset_population(factory, mode, private_context, n_agents, seed, encoder):
+    return make_population(
+        _TwoDatasetEnv, factory, mode, n_agents, seed,
+        encoder=encoder, private_context=private_context,
     )
-    fleet_agents, fleet_sessions = build(13)
-    result = FleetRunner(fleet_agents, fleet_sessions).run(8)
+
+
+@pytest.mark.parametrize("track_expected", [False, True], ids=["plain", "expected"])
+@pytest.mark.parametrize("chunk", [None, 2], ids=["whole", "chunk2"])
+@pytest.mark.parametrize(
+    "factory,mode,private_context",
+    list(_combos()),
+    ids=lambda v: getattr(v, "__name__", str(v)).lstrip("_"),
+)
+def test_two_datasets_split_into_one_shard_each(
+    factory, mode, private_context, chunk, track_expected, encoder
+):
+    """Agents with one configuration over two datasets partition into
+    one traced shard per dataset — and stay bit-identical to the
+    sequential loop (rewards, expected rewards, states, outboxes)."""
+    n_agents, n_interactions, seed = 10, 9, 5
+    seq_agents, seq_sessions = _two_dataset_population(
+        factory, mode, private_context, n_agents, seed, encoder
+    )
+    seq_rewards, seq_expected = _sequential(seq_agents, seq_sessions, n_interactions)
+    agents, sessions = _two_dataset_population(
+        factory, mode, private_context, n_agents, seed, encoder
+    )
+    tables = [
+        {id(sessions[i].trace_row_table()) for i in group}
+        for group in shard_indices(agents, sessions)
+    ]
+    assert len(tables) == 2 and all(len(t) == 1 for t in tables)
+    assert tables[0] != tables[1]
+    runner = FleetRunner(agents, sessions, plan_chunk_size=chunk)
+    assert runner.n_shards == 2
+    result = runner.run(n_interactions, track_expected=track_expected)
     np.testing.assert_array_equal(seq_rewards, result.rewards)
-    for sa, fa in zip(seq_agents, fleet_agents):
+    if track_expected:
+        np.testing.assert_array_equal(seq_expected, result.expected)
+        assert result.expected_mask.all()
+    for sa, fa in zip(seq_agents, agents):
+        assert sa.total_reward == fa.total_reward
         assert_states_equal(sa.policy, fa.policy)
+    assert_outboxes_equal(seq_agents, agents)
 
 
-def test_plan_form_indexed_insists_on_trace_support():
-    """Stationary (and plan-less) shards cannot take the indexed form;
-    insisting raises instead of silently running another path."""
-    from repro.data.synthetic import SyntheticPreferenceEnvironment
-
-    syn = SyntheticPreferenceEnvironment(
-        n_actions=N_ACTIONS, n_features=N_FEATURES, seed=2
+@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("private_context", ["one-hot", "centroid"])
+def test_two_datasets_parallel_backends_match_sequential(
+    backend, private_context, encoder
+):
+    factory = _code_linucb if private_context == "one-hot" else _linucb
+    args = (factory, AgentMode.WARM_PRIVATE, private_context, 10, 8, encoder)
+    seq_agents, seq_sessions = _two_dataset_population(*args)
+    seq_rewards, seq_expected = _sequential(seq_agents, seq_sessions, 9)
+    agents, sessions = _two_dataset_population(*args)
+    runner = FleetRunner(
+        agents, sessions, n_workers=2, worker_backend=backend, plan_chunk_size=2
     )
-    sessions = [syn.new_user(s) for s in spawn_seeds(4, 3)]
-    shard = _Shard(np.arange(3), _cold_agents(3, 1), sessions, plan_form="indexed")
-    with pytest.raises(ConfigError, match="plan_form='indexed'"):
-        shard.prepare(4)
+    assert runner.n_shards == 2
+    result = runner.run(9, track_expected=True)
+    np.testing.assert_array_equal(seq_rewards, result.rewards)
+    np.testing.assert_array_equal(seq_expected, result.expected)
+    for sa, fa in zip(seq_agents, agents):
+        assert_states_equal(sa.policy, fa.policy)
+    assert_outboxes_equal(seq_agents, agents)
 
 
-def test_plan_form_validated_at_construction():
-    agents, sessions = make_population(_ml_env, _linucb, AgentMode.COLD, 2, 0)
-    with pytest.raises(ConfigError, match="plan_form"):
-        FleetRunner(agents, sessions, plan_form="sparse")
+@pytest.mark.parametrize(
+    "backend,fault_plan",
+    [("thread", None), ("process", None), ("thread", "at=raise:0:3")],
+    ids=["thread", "process", "thread-retried"],
+)
+def test_add_agents_from_a_new_dataset_opens_a_shard(backend, fault_plan, encoder):
+    """Churn over a second dataset lands in a new shard and a second
+    persistent run stays exact — also after a process run or a retry
+    from a pickled snapshot rebound the first shard's sessions to a
+    copy of the dataset (newcomers over the original then shard apart)."""
+    args = (_code_linucb, AgentMode.WARM_PRIVATE)
+
+    def build():
+        old = make_population(_ml_env, *args, 6, 31, encoder=encoder)
+        new = make_population(_criteo_env, *args, 4, 32, encoder=encoder)
+        more = make_population(_ml_env, *args, 3, 33, encoder=encoder)
+        return old, new, more
+
+    (seq_old, seq_old_s), (seq_new, seq_new_s), (seq_more, seq_more_s) = build()
+    seq_agents = seq_old + seq_new + seq_more
+    seq_sessions = seq_old_s + seq_new_s + seq_more_s
+    first = _sequential(seq_old, seq_old_s, 7)[0]
+    second = _sequential(seq_agents, seq_sessions, 5)[0]
+
+    (old, old_s), (new, new_s), (more, more_s) = build()
+    runner = FleetRunner(
+        old, old_s, persistent=True, worker_backend=backend, fault_plan=fault_plan
+    )
+    np.testing.assert_array_equal(first, runner.run(7).rewards)
+    assert runner.n_shards == 1
+    runner.add_agents(new, new_s)
+    assert runner.n_shards == 2
+    runner.add_agents(more, more_s)  # the first dataset again
+    adopted = backend == "process" or fault_plan is not None
+    assert runner.n_shards == (3 if adopted else 2)
+    np.testing.assert_array_equal(second, runner.run(5).rewards)
+    for sa, fa in zip(seq_agents, old + new + more):
+        assert_states_equal(sa.policy, fa.policy)
+    assert_outboxes_equal(seq_agents, old + new + more)
 
 
 # --------------------------------------------------------------------- #
@@ -369,17 +432,16 @@ def test_each_dataset_row_encoded_at_most_once(encoder, monkeypatch):
 
     monkeypatch.setattr(type(encoder), "encode_batch", counting_batch)
     monkeypatch.setattr(type(encoder), "encode", no_scalar)
-    FleetRunner(agents, sessions, plan_form="indexed").run(30)
+    FleetRunner(agents, sessions).run(30)
     # one batched call (one encoder group, one chunk), bounded by the
     # dataset size — not by agents x steps = 270
     assert sum(seen_rows) <= _ML_DATASET.n_samples
 
 
 def test_concurrent_shards_share_one_table():
-    """Two shards over one dataset, stepped with ``n_workers=2`` on a
-    cold table cache: both must receive the identical row table (the
-    build is serialized by a lock), so the insisting ``indexed`` form
-    never spuriously falls back or raises — and parallel equals serial."""
+    """Two shards over one dataset, stepped with ``n_workers=2``: both
+    gather through the identical row table — and parallel equals
+    serial."""
     from repro.bandits import EpsilonGreedy
 
     dataset = make_multilabel_dataset(100, N_FEATURES, N_ACTIONS, n_clusters=4, seed=8)
@@ -400,34 +462,27 @@ def test_concurrent_shards_share_one_table():
             sessions.append(env.new_user(session_seed))
         return agents, sessions
 
-    runner = FleetRunner(*build(), n_workers=2, plan_form="indexed")
+    runner = FleetRunner(*build(), n_workers=2)
     assert runner.n_shards == 2
+    tables = {id(session.trace_row_table()) for session in runner.sessions}
+    assert tables == {id(dataset._p2b_row_table)}
     parallel = runner.run(10)
-    serial = FleetRunner(*build(), plan_form="indexed").run(10)
+    serial = FleetRunner(*build()).run(10)
     np.testing.assert_array_equal(parallel.rewards, serial.rewards)
     np.testing.assert_array_equal(parallel.actions, serial.actions)
 
 
-def test_indexed_plan_bytes_shrink_a_fold(encoder):
-    """The ROADMAP claim in miniature: per-agent plan bytes of the
-    indexed form are a small fraction of the dense form's."""
+def test_traced_plan_bytes_are_the_row_walk(encoder):
+    """Per-agent plan bytes are exactly the row walk; the row table and
+    the per-row code tables are shared, independent of the population."""
     n_agents, horizon = 12, 20
-
-    def prepared(plan_form):
-        agents, sessions = make_population(
-            _ml_env, _code_linucb, AgentMode.WARM_PRIVATE, n_agents, 17,
-            encoder=encoder,
-        )
-        shard = _Shard(np.arange(n_agents), agents, sessions, plan_form=plan_form)
-        shard.prepare(horizon)
-        return shard.plan_nbytes()
-
-    dense = prepared("dense")
-    indexed = prepared("indexed")
-    assert dense["shared"] == 0
-    # the per-agent side is exactly the row walk: horizon intp entries
-    assert indexed["per_agent"] == n_agents * horizon * np.intp(0).nbytes
-    # dense carries (T, d) float contexts + (T, A) rewards + (T,) codes
-    # per agent — at least A-fold more than the walk even at this toy
-    # scale (the §5.2-scale ratio is asserted in bench_memory)
-    assert dense["per_agent"] >= N_ACTIONS * indexed["per_agent"]
+    agents, sessions = make_population(
+        _ml_env, _code_linucb, AgentMode.WARM_PRIVATE, n_agents, 17, encoder=encoder
+    )
+    shard = _Shard(np.arange(n_agents), agents, sessions)
+    shard.prepare(horizon)
+    nbytes = shard.plan_nbytes()
+    assert nbytes["per_agent"] == n_agents * horizon * np.intp(0).nbytes
+    codes = shard._row_codes.nbytes + shard._row_encoded.nbytes
+    assert nbytes["shared"] == shard._row_table.nbytes() + codes
+    assert nbytes["total"] == nbytes["per_agent"] + nbytes["shared"]

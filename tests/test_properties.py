@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core import EncodedReport, RandomizedParticipation, Shuffler
+from repro.data.synthetic import SyntheticUserSession
 from repro.encoding import GridEncoder, KMeansEncoder, LSHEncoder, quantize_simplex
 from repro.privacy import composition_rank, context_cardinality, verify_crowd_blending
 from repro.utils.serialization import state_from_json, state_to_json, states_equal
@@ -403,35 +404,40 @@ def _replay_dataset():
     return _REPLAY_ML_DATASET
 
 
+class _PlanlessSession(SyntheticUserSession):
+    """A synthetic session that advertises no plan (generic path)."""
+
+    has_reward_plan = False
+
+
 @given(
     st.integers(0, 2**31 - 1),
     st.lists(
         st.tuples(
             st.sampled_from(["linucb", "epsilon_greedy", "ucb1"]),
-            st.booleans(),  # True => multilabel replay session, False => synthetic
+            # multilabel replay, synthetic, or synthetic without a plan
+            st.sampled_from(["replay", "synthetic", "planless"]),
         ),
         min_size=2,
         max_size=8,
     ),
     st.integers(3, 14),
     st.sampled_from([None, 1, 2, 3, 5, 20]),
-    st.sampled_from(["auto", "dense"]),
     st.sampled_from(["bit", "fast"]),
     st.sampled_from([None, 1, 3, 50]),
 )
 @settings(max_examples=25, deadline=None)
 def test_property_replay_and_synthetic_mixtures_match_sequential(
-    seed, specs, n_interactions, plan_chunk_size, plan_form, exactness,
-    kernel_block_size,
+    seed, specs, n_interactions, plan_chunk_size, exactness, kernel_block_size,
 ):
     """Arbitrary per-agent mixtures of *planned dataset sessions*
-    (multilabel replay, `has_trace_plan`) and synthetic sessions
-    (`has_reward_plan`) across policy shards stay bit-identical to the
-    sequential reference — including shards that mix both session
-    kinds and therefore fall back to the generic per-round path, and
-    under any plan chunk size / traced-plan form (replay shards take
-    the shared-row-table form on ``auto``; ``dense`` forces per-agent
-    tables; chunking slices the horizon arbitrarily).  The exactness
+    (multilabel replay, `has_trace_plan`), synthetic sessions
+    (`has_reward_plan`) and plan-less synthetic sessions across policy
+    shards stay bit-identical to the sequential reference — replay
+    sessions partition into their own traced shards, shards mixing
+    synthetic and plan-less sessions fall back to the generic
+    per-round path, and any plan chunk size slices the horizon
+    arbitrarily.  The exactness
     tier and the scoring-kernel block size are drawn too: blocked
     kernels are bitwise identical to unblocked for every block size,
     and ``"fast"`` must degenerate to the bit tier — bitwise — for
@@ -459,10 +465,13 @@ def test_property_replay_and_synthetic_mixtures_match_sequential(
         agents, sessions = [], []
         for i, s in enumerate(spawn_seeds(seed, len(specs))):
             policy_seed, session_seed = s.spawn(2)
-            kind, replay = specs[i]
+            kind, source = specs[i]
             policy = classes[kind](n_arms=3, n_features=4, seed=policy_seed)
             agents.append(LocalAgent(f"u{i}", policy, mode="cold"))
-            sessions.append((ml if replay else syn).new_user(session_seed))
+            session = (ml if source == "replay" else syn).new_user(session_seed)
+            if source == "planless":
+                session = _PlanlessSession(session.preference, syn, session._rng)
+            sessions.append(session)
         return agents, sessions
 
     seq_agents, seq_sessions = build()
@@ -478,11 +487,10 @@ def test_property_replay_and_synthetic_mixtures_match_sequential(
         fleet_agents,
         fleet_sessions,
         plan_chunk_size=plan_chunk_size,
-        plan_form=plan_form,
         exactness=exactness,
         kernel_block_size=kernel_block_size,
     )
-    assert runner.n_shards == len({kind for kind, _ in specs})
+    assert runner.n_shards == len({(kind, src == "replay") for kind, src in specs})
     result = runner.run(n_interactions)
 
     np.testing.assert_array_equal(seq_rewards, result.rewards)
