@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices DESIGN.md calls out.
+"""Ablation benches for the design choices behind EXPERIMENTS.md's settings.
 
 1. encoder family — k-means vs LSH vs exact grid: realized minimum
    crowd (the privacy parameter l) and codebook balance;

@@ -52,7 +52,7 @@ from repro.data.synthetic import SyntheticPreferenceEnvironment
 from repro.encoding.kmeans_encoder import KMeansEncoder
 from repro.experiments.runner import _simulate_agent
 from repro.sim import FleetRunner
-from repro.utils.rng import spawn_seeds
+from repro.utils.rng import spawn_generators
 
 # population scale is env-tunable so the CI bench-smoke job can run a
 # reduced workload (the speedup record is still meaningful — agents
@@ -93,25 +93,25 @@ def _p2b_population(n_agents: int):
     )
     system = P2BSystem(config, mode=AgentMode.WARM_PRIVATE, seed=SEED)
     env = _env()
-    agents = [system.new_agent() for _ in range(n_agents)]
-    sessions = [env.new_user(s) for s in spawn_seeds(SEED + 1, n_agents)]
+    agents = system.new_agents(n_agents)
+    sessions = [env.new_user(g) for g in spawn_generators(SEED + 1, n_agents)]
     return system, agents, sessions
 
 
 def _cold_population(n_agents: int):
     """Secondary workload: dense cold LinUCB (memory-bound at scale)."""
     env = _env()
-    agents, sessions = [], []
-    for i, s in enumerate(spawn_seeds(SEED, n_agents)):
-        policy_seed, session_seed = s.spawn(2)
-        agents.append(
-            LocalAgent(
-                f"agent-{i}",
-                LinUCB(n_arms=N_ACTIONS, n_features=N_FEATURES, seed=policy_seed),
-                mode="cold",
-            )
+    # agent i's policy and session streams: children (i, 0) and (i, 1)
+    policy_rngs, session_rngs = (spawn_generators(SEED, n_agents, suffix=(j,)) for j in (0, 1))
+    agents = [
+        LocalAgent(
+            f"agent-{i}",
+            LinUCB(n_arms=N_ACTIONS, n_features=N_FEATURES, seed=g),
+            mode="cold",
         )
-        sessions.append(env.new_user(session_seed))
+        for i, g in enumerate(policy_rngs)
+    ]
+    sessions = [env.new_user(g) for g in session_rngs]
     return agents, sessions
 
 
@@ -138,8 +138,10 @@ def _heterogeneous_population(n_agents: int):
     env = _env()
     encoder = _het_encoder()
     agents, sessions = [], []
-    for i, s in enumerate(spawn_seeds(SEED, n_agents)):
-        policy_seed, part_seed, session_seed = s.spawn(3)
+    # agent i's policy, participation and session streams: children
+    # (i, 0), (i, 1) and (i, 2) of the root
+    streams = zip(*(spawn_generators(SEED, n_agents, suffix=(j,)) for j in (0, 1, 2)))
+    for i, (policy_seed, part_seed, session_seed) in enumerate(streams):
         flavor = i % 4
         if flavor == 0:
             policy = LinUCB(n_arms=N_ACTIONS, n_features=N_FEATURES, seed=policy_seed)
@@ -184,7 +186,9 @@ def _throughputs(make_population, n_fleet=N_AGENTS, n_seq=N_SEQ_AGENTS):
     )
     seq_elapsed = time.perf_counter() - t0
 
+    t0 = time.perf_counter()
     fleet = make_population(n_fleet)
+    build_elapsed = time.perf_counter() - t0
     fleet_agents, fleet_sessions = fleet[-2], fleet[-1]
     runner = FleetRunner(fleet_agents, fleet_sessions)
     t0 = time.perf_counter()
@@ -196,6 +200,8 @@ def _throughputs(make_population, n_fleet=N_AGENTS, n_seq=N_SEQ_AGENTS):
 
     return {
         "n_shards": runner.n_shards,
+        # constructing the fleet population (agents + sessions); no floor
+        "build_seconds": round(build_elapsed, 4),
         "sequential_seconds": round(seq_elapsed, 4),
         "fleet_seconds": round(fleet_elapsed, 4),
         "sequential_interactions_per_second": round(

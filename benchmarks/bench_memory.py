@@ -48,7 +48,7 @@ from repro.core.system import P2BSystem
 from repro.data.multilabel import MultilabelBanditEnvironment, make_mediamill_like
 from repro.sim import FleetRunner
 from repro.sim.fleet import _Shard
-from repro.utils.rng import spawn_seeds
+from repro.utils.rng import spawn_generators
 
 # population scale is env-tunable so the CI bench-smoke job can run a
 # reduced workload; the reduction ratio only improves with scale (the
@@ -106,8 +106,8 @@ def _population(n_agents):
     )
     system = P2BSystem(config, mode=AgentMode.WARM_PRIVATE, seed=SEED)
     env = MultilabelBanditEnvironment(_dataset(), samples_per_user=100, seed=SEED + 1)
-    agents = [system.new_agent() for _ in range(n_agents)]
-    sessions = [env.new_user(s) for s in spawn_seeds(SEED + 2, n_agents)]
+    agents = system.new_agents(n_agents)
+    sessions = [env.new_user(g) for g in spawn_generators(SEED + 2, n_agents)]
     return agents, sessions
 
 

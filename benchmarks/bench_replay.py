@@ -55,7 +55,7 @@ from repro.data.criteo import CriteoBanditEnvironment, build_criteo_actions, mak
 from repro.data.multilabel import MultilabelBanditEnvironment, make_mediamill_like
 from repro.experiments.runner import _simulate_agent
 from repro.sim import FleetRunner
-from repro.utils.rng import spawn_seeds
+from repro.utils.rng import spawn_generators, spawn_seeds
 
 # population scale is env-tunable so the CI bench-smoke job can run a
 # reduced workload (agents are independent; per-interaction cost is
@@ -119,8 +119,8 @@ def _warm_private_population(env_factory, n_features):
         )
         system = P2BSystem(config, mode=AgentMode.WARM_PRIVATE, seed=SEED)
         env = env_factory()
-        agents = [system.new_agent() for _ in range(n_agents)]
-        sessions = [env.new_user(s) for s in spawn_seeds(SEED + 2, n_agents)]
+        agents = system.new_agents(n_agents)
+        sessions = [env.new_user(g) for g in spawn_generators(SEED + 2, n_agents)]
         return agents, sessions
 
     return make

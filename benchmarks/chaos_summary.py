@@ -26,7 +26,7 @@ from repro.core.config import AgentMode, P2BConfig
 from repro.core.system import P2BSystem
 from repro.data.synthetic import SyntheticPreferenceEnvironment
 from repro.sim import FaultPlan, FaultPolicy, FaultSpec, FleetRunner
-from repro.utils.rng import spawn_seeds
+from repro.utils.rng import spawn_generators, spawn_seeds
 
 N_ACTIONS, N_FEATURES, N_AGENTS, HORIZON = 4, 5, 12, 10
 
@@ -85,8 +85,8 @@ def quarantine_counters() -> tuple[int, int, bool]:
     env = SyntheticPreferenceEnvironment(
         n_actions=N_ACTIONS, n_features=N_FEATURES, seed=7
     )
-    agents = [system.new_agent() for _ in range(N_AGENTS)]
-    sessions = [env.new_user(s) for s in spawn_seeds(2, N_AGENTS)]
+    agents = system.new_agents(N_AGENTS)
+    sessions = [env.new_user(g) for g in spawn_generators(2, N_AGENTS)]
     FleetRunner(agents, sessions).run(HORIZON)
     outcome = system.collect(agents)  # raises if the audit is violated
     return (

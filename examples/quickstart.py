@@ -42,7 +42,7 @@ def main() -> None:
     system = P2BSystem(config, mode=AgentMode.WARM_PRIVATE, seed=0)
 
     # --- contribution phase: 5000 users interact and opportunistically report
-    contributors = [system.new_agent() for _ in range(5000)]
+    contributors = system.new_agents(5000)  # seeded in one bulk pass
     users = env.user_population(5000, seed=1)
     for agent, user in zip(contributors, users):
         run_agent(agent, user, n_steps=10)

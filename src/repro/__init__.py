@@ -10,7 +10,7 @@ Quickstart::
     config = P2BConfig(n_actions=10, n_features=10, n_codes=64, p=0.5)
     system = P2BSystem(config, mode="warm-private", seed=0)
 
-    contributors = [system.new_agent() for _ in range(500)]
+    contributors = system.new_agents(500)     # one bulk-seeded pass
     for agent, user in zip(contributors, env.user_population(500, seed=1)):
         for _ in range(10):
             x = user.next_context()

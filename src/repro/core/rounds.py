@@ -23,7 +23,7 @@ import numpy as np
 from ..data.environment import Environment
 from ..privacy.accounting import PrivacyReport
 from ..utils.exceptions import ConfigError
-from ..utils.rng import spawn_seeds
+from ..utils.rng import spawn_generators, spawn_seeds
 from ..utils.validation import check_positive_int
 from .agent import LocalAgent
 from .config import AgentMode, P2BConfig
@@ -179,12 +179,16 @@ class DeploymentLoop:
     def enroll(self, n_users: int) -> None:
         """Add ``n_users`` fresh devices (warm-started when possible)."""
         check_positive_int(n_users, name="n_users")
-        for session_seed in spawn_seeds(self._user_seed_root, n_users):
-            agent = self.system.new_agent()
-            if self.system.server is not None and self.system.server.n_tuples_ingested:
-                agent.warm_start(self.system.model_snapshot())
-            session = self.env.new_user(session_seed)
-            self._users.append((agent, session))
+        server = self.system.server
+        agents = self.system.new_agents(
+            n_users, warm=server is not None and server.n_tuples_ingested > 0
+        )
+        # the user root deals one child per enrolled user, in order
+        sessions = [
+            self.env.new_user(g)
+            for g in spawn_generators(self._user_seed_root, n_users, start=len(self._users))
+        ]
+        self._users.extend(zip(agents, sessions))
 
     def run_round(self, *, new_users: int = 0) -> RoundStats:
         """One full cycle: enroll, interact, collect, retrain."""

@@ -5,7 +5,7 @@ specifies:
 
 1. **Anonymization** — every received report is stripped of all
    metadata (the in-process stand-in for discarding IP addresses and
-   enclave attestation; see DESIGN.md substitutions).
+   enclave attestation; see the substitutions in EXPERIMENTS.md §1).
 2. **Shuffling** — batch order is randomized, destroying arrival-order
    correlations.
 3. **Thresholding** — tuples whose encoded context appears fewer than

@@ -20,14 +20,15 @@ form".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 from ..bandits.code_linucb import CodeLinUCB
 from ..bandits.linucb import LinUCB
 from ..encoding.kmeans_encoder import KMeansEncoder
 from ..privacy.accounting import PrivacyReport
 from ..utils.exceptions import ConfigError
-from ..utils.rng import spawn_seeds
+from ..utils.rng import spawn_generators, spawn_seeds
+from ..utils.validation import check_positive_int
 from .agent import LocalAgent
 from .config import AgentMode, P2BConfig
 from .participation import RandomizedParticipation
@@ -65,6 +66,11 @@ class P2BSystem:
         Root seed; every agent gets an independent child stream, so
         results are invariant to agent construction order.
     """
+
+    # the generators new_agents seeded for its batch, dealt out by
+    # new_agent; None between calls (a class default, so systems pickled
+    # before the field existed still build agents)
+    _seed_block: Iterator | None = None
 
     def __init__(
         self,
@@ -144,14 +150,47 @@ class P2BSystem:
     # ------------------------------------------------------------------ #
     # agent factory
     # ------------------------------------------------------------------ #
-    def _next_agent_seeds(self) -> tuple:
-        (seed,) = self._agents_root.spawn(1)
-        policy_seed, part_seed = seed.spawn(2)
-        return policy_seed, part_seed
+    def _agent_generators(self, n: int):
+        """The next ``n`` agents' (policy, participation) generators.
+
+        Agent ``k`` of the system (counting from 0 across every call)
+        takes children ``(k, 0)`` and ``(k, 1)`` of the agent root —
+        the tree ``root.spawn(1)[0].spawn(2)`` deals one agent at a
+        time — seeded for all ``n`` agents in one pass by
+        :func:`~repro.utils.rng.spawn_generators`.
+        """
+        start = self._agent_seq
+        return zip(
+            spawn_generators(self._agents_root, n, start=start, suffix=(0,)),
+            spawn_generators(self._agents_root, n, start=start, suffix=(1,)),
+        )
+
+    def new_agents(self, n: int, *, warm: bool = False) -> list[LocalAgent]:
+        """Create ``n`` agents wired for this system's mode, seeded in bulk.
+
+        The same agents, ids and streams as ``n`` calls of
+        :meth:`new_agent` (or :meth:`new_warm_agent` when ``warm``):
+        the whole batch's generators are seeded up front, then each
+        agent is built by :meth:`new_agent`.  ``warm=True`` initializes
+        every agent from one central-model snapshot.
+        """
+        check_positive_int(n, name="n", minimum=0)
+        if warm and self.server is None:
+            raise ConfigError("cold systems have no central model to warm-start from")
+        self._seed_block = self._agent_generators(n)
+        try:
+            agents = [self.new_agent() for _ in range(n)]
+        finally:
+            self._seed_block = None
+        if warm:
+            snapshot = self.server.model_snapshot()  # type: ignore[union-attr]
+            for agent in agents:
+                agent.warm_start(snapshot)
+        return agents
 
     def new_agent(self, agent_id: str | None = None) -> LocalAgent:
         """Create an agent wired for this system's mode (cold-started)."""
-        policy_seed, part_seed = self._next_agent_seeds()
+        policy_seed, part_seed = next(self._seed_block or self._agent_generators(1))
         self._agent_seq += 1
         aid = agent_id if agent_id is not None else f"agent-{self._agent_seq}"
         cfg = self.config

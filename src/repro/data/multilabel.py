@@ -4,7 +4,7 @@ The paper evaluates on MediaMill (video concepts) and TextMining
 (tmc2007 aviation reports).  Neither dataset is downloadable in this
 offline environment, so :func:`make_mediamill_like` and
 :func:`make_textmining_like` generate synthetic corpora preserving the
-properties the experiment actually exercises (see DESIGN.md §2):
+properties the experiment actually exercises (see EXPERIMENTS.md §1):
 
 * contexts exhibit **cluster structure** (topic/scene mixtures) so the
   k-means codebook is informative;

@@ -278,9 +278,9 @@ def figure6(
 
     Simulation economies (recorded in EXPERIMENTS.md): contributors run
     30 interactions rather than 100 — with window T=10, p=0.5 and a
-    1-report budget, the report distribution is identical after 3
-    windows (97% of eventual reporters have reported) and contributors
-    never feed the evaluation metric; eval agents are subsampled to
+    1-report budget, 87.5% of contributors have reported after 3
+    windows (99.9% after 10), and contributors feed the evaluation
+    metric only through those reports; eval agents are subsampled to
     ``max_eval_agents`` of the 30% split.  The shuffler threshold
     scales with the population (paper's 10 at 3000 agents).
 
@@ -376,7 +376,7 @@ def figure7(
     sizes (paper: 3000 agents x 300 interactions, threshold 10, p=0.5).
 
     Simulation economies (see EXPERIMENTS.md): contributors run 30
-    interactions (identical report distribution — see figure6 notes);
+    interactions (87.5% of them have reported — see figure6 notes);
     eval agents are subsampled; threshold scales with population.
     ``codebook`` as in :func:`figure6`.
     """

@@ -38,7 +38,7 @@ from ..sim import (
     FleetRunner,
     fleet_supported,
 )
-from ..utils.rng import spawn_seeds
+from ..utils.rng import spawn_generators, spawn_seeds
 from ..utils.validation import check_positive_int
 from .results import CurveSink, ExperimentResult, NullSink, SettingComparison
 
@@ -506,10 +506,8 @@ def run_setting(
             else config.window
         )
         check_positive_int(t_contrib, name="contributor_interactions")
-        contributors = [system.new_agent() for _ in range(n_contributors)]
-        sessions = [
-            env.new_user(s) for s in spawn_seeds(contrib_users_seed, n_contributors)
-        ]
+        contributors = system.new_agents(n_contributors)
+        sessions = [env.new_user(g) for g in spawn_generators(contrib_users_seed, n_contributors)]
         if _resolve_engine(cfg.engine, contributors):
             runner = FleetRunner(
                 contributors,
@@ -629,20 +627,17 @@ def _eval_phase(
     uninterrupted run takes — the bit-identity guarantee rests on it.
     """
     tier = cfg.exactness
-    eval_seeds = spawn_seeds(eval_users_seed, n_eval_agents)
+    eval_rngs = spawn_generators(eval_users_seed, n_eval_agents)
     want_expected = measure == "expected"
     warm = mode != AgentMode.COLD and n_contributors > 0
     # NB: the per-agent sequential loop creates agent i then session i;
     # batching construction is equivalent because sessions are built
-    # from pre-spawned seeds and never touch the system's agent stream.
-    eval_agents = [
-        system.new_warm_agent() if warm else system.new_agent()
-        for _ in range(n_eval_agents)
-    ]
+    # from pre-seeded generators and never touch the system's agent stream.
+    eval_agents = system.new_agents(n_eval_agents, warm=warm)
     curve = mean_reward = None
     dropped: tuple = ()
     if _resolve_engine(cfg.engine, eval_agents):
-        eval_sessions = [env.new_user(s) for s in eval_seeds]
+        eval_sessions = [env.new_user(g) for g in eval_rngs]
         fleet = FleetRunner(
             eval_agents,
             eval_sessions,
@@ -707,9 +702,9 @@ def _eval_phase(
                 "(drop the sink or fix the population)"
             )
         reward_matrix = np.empty((n_eval_agents, eval_interactions), dtype=np.float64)
-        for i, user_seed in enumerate(eval_seeds):
+        for i, user_rng in enumerate(eval_rngs):
             agent = eval_agents[i]
-            session = env.new_user(user_seed)
+            session = env.new_user(user_rng)
             realized, expected = _simulate_agent(
                 agent, session, eval_interactions, track_expected=want_expected
             )

@@ -38,7 +38,7 @@ from ..core.system import CollectionResult, P2BSystem
 from ..data.environment import Environment
 from ..sim import FleetResult, FleetRunner
 from ..utils.exceptions import ConfigError, ServiceError, ServiceTimeout
-from ..utils.rng import spawn_seeds
+from ..utils.rng import spawn_generators, spawn_seeds
 from ..utils.validation import check_positive_int
 from .runner import EngineConfig
 
@@ -286,17 +286,15 @@ class FleetService:
         """
         self._check_open()
         check_positive_int(n, name="n")
-        snapshot = None
-        if self.system.server is not None and self.system.server.n_tuples_ingested:
-            snapshot = self.system.model_snapshot()
-        arrivals: list[LocalAgent] = []
-        sessions = []
-        for session_seed in spawn_seeds(self._session_root, n):
-            agent = self.system.new_agent()
-            if snapshot is not None:
-                agent.warm_start(snapshot)
-            arrivals.append(agent)
-            sessions.append(self.env.new_user(session_seed))
+        server = self.system.server
+        warm = server is not None and server.n_tuples_ingested > 0
+        arrivals = self.system.new_agents(n, warm=warm)
+        # the session root deals one child per arrival: its counter is
+        # the number of devices ever arrived
+        sessions = [
+            self.env.new_user(g)
+            for g in spawn_generators(self._session_root, n, start=self._n_arrived)
+        ]
         self.fleet.add_agents(arrivals, sessions)
         self._n_arrived += n
         return arrivals

@@ -82,17 +82,25 @@ def _tiebreak_rows(
     """Row-wise :func:`argmax_random_tiebreak` with per-row generators.
 
     Rows with a unique maximum take the vectorized argmax and consume
-    no randomness — exactly like the scalar helper.  Only tied rows
-    fall back to that row's generator, with the same ``choice`` call.
+    no randomness — exactly like the scalar helper.  Each tied row
+    makes the helper's one ``integers(0, count)`` draw on its own
+    generator; the drawn rank then picks the k-th maximal column of
+    every tied row in one cumulative-count gather.
     """
-    row_max = scores.max(axis=1)
-    is_max = scores == row_max[:, None]
-    actions = scores.argmax(axis=1).astype(np.intp)
-    for i in np.flatnonzero(is_max.sum(axis=1) > 1):
-        best = is_max[i].nonzero()[0]
+    is_max = scores == scores.max(axis=1)[:, None]
+    counts = is_max.sum(axis=1)
+    actions = scores.argmax(axis=1)
+    tied = np.flatnonzero(counts > 1)
+    if tied.size:
         # one integers draw == rng.choice(best) on the stream (see
         # argmax_random_tiebreak), so tied rows stay bit-identical
-        actions[i] = int(best[rngs[i].integers(0, best.size)])
+        ranks = np.array(
+            [rngs[i].integers(0, c) for i, c in zip(tied.tolist(), counts[tied].tolist())],
+            dtype=np.intp,
+        )
+        # the column where the running count of maxima passes the rank
+        seen = np.cumsum(is_max[tied], axis=1)
+        actions[tied] = (seen <= ranks[:, None]).sum(axis=1)
     return actions
 
 

@@ -10,7 +10,7 @@ from .exceptions import (
     ValidationError,
 )
 from .math import clip01, log_binomial, normalize_simplex, project_to_simplex, safe_log, softmax
-from .rng import ensure_rng, spawn_rngs, spawn_seeds
+from .rng import ensure_rng, spawn_generators, spawn_rngs, spawn_seeds
 from .serialization import (
     state_from_bytes,
     state_from_json,
@@ -45,6 +45,7 @@ __all__ = [
     "log_binomial",
     "safe_log",
     "ensure_rng",
+    "spawn_generators",
     "spawn_rngs",
     "spawn_seeds",
     "state_to_json",

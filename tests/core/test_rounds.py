@@ -99,3 +99,27 @@ class TestDeploymentLoop:
             return loop.mean_reward_trajectory
 
         np.testing.assert_array_equal(run(), run())
+
+
+class TestEnrollSeeding:
+    def test_enrollments_continue_the_user_seed_stream(self):
+        """Bulk enrollment deals each user the session stream the old
+        per-user ``spawn_seeds(user_root, n)`` loop did, across calls."""
+        from repro.utils.rng import spawn_seeds
+
+        loop = _loop(seed=5)
+        loop.enroll(3)
+        loop.run_round()
+        loop.enroll(4)
+        user_root = spawn_seeds(5, 2)[1]
+        reference = _loop(seed=5).env
+        want = [reference.new_user(s) for s in spawn_seeds(user_root, 3)]
+        want += [reference.new_user(s) for s in spawn_seeds(user_root, 4)]
+        got = [session for _, session in loop._users]
+        assert len(got) == len(want)
+        for g, w in zip(got[3:], want[3:]):
+            np.testing.assert_array_equal(g.preference, w.preference)
+            assert g._rng.bit_generator.state == w._rng.bit_generator.state
+        for g, w in zip(got[:3], want[:3]):  # these have interacted since
+            np.testing.assert_array_equal(g.preference, w.preference)
+        assert [agent.agent_id for agent, _ in loop._users] == [f"agent-{k}" for k in range(1, 8)]

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import AgentMode, P2BConfig, P2BSystem
 from repro.utils.exceptions import ConfigError
+from repro.utils.rng import spawn_seeds
 
 
 def _config(**overrides) -> P2BConfig:
@@ -138,3 +139,100 @@ class TestColdPipeline:
         agents = _run_agents(system, n_agents=10, n_interactions=5, rng=rng)
         result = system.collect(agents)
         assert result.n_reports == 0 and result.n_released == 0
+
+
+def _old_agent_streams(seed, n_agents, skip=0):
+    """The per-agent seeding P2BSystem used before bulk construction.
+
+    ``spawn_seeds(seed, 4)[3]`` is the agent root; agent ``k`` took
+    ``root.spawn(1)[0].spawn(2)`` as (policy, participation) seeds.
+    """
+    root = spawn_seeds(seed, 4)[3]
+    streams = []
+    for k in range(skip + n_agents):
+        (child,) = root.spawn(1)
+        policy_seed, part_seed = child.spawn(2)
+        if k >= skip:
+            streams.append((np.random.default_rng(policy_seed), np.random.default_rng(part_seed)))
+    return streams
+
+
+def _assert_agent_streams(agents, streams):
+    assert len(agents) == len(streams)
+    for agent, (policy_rng, part_rng) in zip(agents, streams):
+        assert agent.policy._rng.bit_generator.state == policy_rng.bit_generator.state
+        if agent.participation is not None:
+            got = agent.participation._rng.bit_generator.state
+            assert got == part_rng.bit_generator.state
+
+
+class TestBulkConstruction:
+    """new_agents seeds the same tree the one-at-a-time factory did."""
+
+    @pytest.mark.parametrize(
+        "mode", [AgentMode.WARM_PRIVATE, AgentMode.WARM_NONPRIVATE, AgentMode.COLD]
+    )
+    def test_new_agents_matches_per_agent_spawning(self, mode):
+        system = P2BSystem(_config(), mode=mode, seed=21)
+        agents = system.new_agents(7)
+        assert [a.agent_id for a in agents] == [f"agent-{k}" for k in range(1, 8)]
+        _assert_agent_streams(agents, _old_agent_streams(21, 7))
+
+    def test_interleaved_calls_continue_one_tree(self):
+        system = P2BSystem(_config(), mode=AgentMode.WARM_PRIVATE, seed=3)
+        agents = [system.new_agent()]
+        agents += system.new_agents(4)
+        agents.append(system.new_agent("named"))
+        agents += system.new_agents(0)
+        agents.append(system.new_warm_agent())
+        agents += system.new_agents(2, warm=True)
+        assert agents[5].agent_id == "named"
+        assert [a.agent_id for a in agents[6:]] == ["agent-7", "agent-8", "agent-9"]
+        _assert_agent_streams(agents, _old_agent_streams(3, 9))
+
+    def test_pickled_system_continues_the_tree(self):
+        import pickle
+
+        system = P2BSystem(_config(), mode=AgentMode.WARM_PRIVATE, seed=8)
+        system.new_agents(5)
+        resumed = pickle.loads(pickle.dumps(system))
+        tail = resumed.new_agents(3)
+        assert [a.agent_id for a in tail] == ["agent-6", "agent-7", "agent-8"]
+        _assert_agent_streams(tail, _old_agent_streams(8, 3, skip=5))
+        _assert_agent_streams(system.new_agents(3), _old_agent_streams(8, 3, skip=5))
+
+    def test_pickled_agents_carry_numpy_seed_sequences(self):
+        import pickle
+
+        system = P2BSystem(_config(), mode=AgentMode.WARM_PRIVATE, seed=8)
+        agent = pickle.loads(pickle.dumps(system.new_agents(2)[1]))
+        seq = agent.policy._rng.bit_generator.seed_seq
+        assert type(seq) is np.random.SeedSequence
+        assert seq.spawn_key[-2:] == (1, 0)
+
+    def test_warm_agents_share_one_snapshot_without_aliasing(self, rng):
+        system = P2BSystem(_config(), mode=AgentMode.WARM_PRIVATE, seed=0)
+        system.collect(_run_agents(system, 30, 10, rng))
+        warm = system.new_agents(3, warm=True)
+        snapshot = system.model_snapshot()
+        assert snapshot["counts"].sum() > 0
+        for agent in warm:
+            np.testing.assert_array_equal(agent.policy.counts, snapshot["counts"])
+        warm[0].policy.counts += 1.0
+        np.testing.assert_array_equal(warm[1].policy.counts, snapshot["counts"])
+
+    def test_cold_system_refuses_warm_agents(self):
+        system = P2BSystem(_config(), mode=AgentMode.COLD, seed=0)
+        with pytest.raises(ConfigError):
+            system.new_agents(2, warm=True)
+        # the refused call consumed no agent slot
+        _assert_agent_streams(system.new_agents(1), _old_agent_streams(0, 1))
+
+    def test_system_pickled_without_the_batch_field_still_builds(self):
+        import pickle
+
+        system = P2BSystem(_config(), mode=AgentMode.WARM_PRIVATE, seed=8)
+        system.new_agents(2)
+        system.__dict__.pop("_seed_block", None)  # as pickled before the field existed
+        resumed = pickle.loads(pickle.dumps(system))
+        _assert_agent_streams([resumed.new_agent()], _old_agent_streams(8, 1, skip=2))

@@ -100,6 +100,24 @@ class TestUserSession:
         prefs = {tuple(np.round(u.next_context(), 6)) for u in users}
         assert len(prefs) == 10
 
+    def test_user_population_advances_a_seed_sequence(self, env):
+        """Two calls with one SeedSequence deal its next spawn children:
+        the second population continues the first, it does not repeat it."""
+        root, twin = np.random.SeedSequence(4), np.random.SeedSequence(4)
+        got = env.user_population(3, seed=root) + env.user_population(2, seed=root)
+        want = [env.new_user(s) for s in twin.spawn(5)]
+        for g, w in zip(got, want, strict=True):
+            np.testing.assert_array_equal(g.preference, w.preference)
+            assert g._rng.bit_generator.state == w._rng.bit_generator.state
+        assert root.n_children_spawned == 5
+        assert not np.array_equal(got[0].preference, got[3].preference)
+
+    def test_user_population_accepts_a_generator_seed(self, env):
+        users = env.user_population(3, seed=np.random.default_rng(2))
+        again = env.user_population(3, seed=np.random.default_rng(2))
+        for u, v in zip(users, again, strict=True):
+            np.testing.assert_array_equal(u.preference, v.preference)
+
 
 class TestStationaryRewardPlan:
     """plan_rewards is the fleet engine's stand-in for the sequential

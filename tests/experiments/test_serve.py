@@ -154,6 +154,24 @@ class TestBitIdentity:
         rb = b.interact(3)
         np.testing.assert_array_equal(ra.rewards, rb.rewards)
 
+    def test_arrivals_continue_the_session_seed_stream(self):
+        """Bulk arrivals deal each device the session stream the old
+        per-arrival ``spawn_seeds(session_root, n)`` loop did."""
+        from repro.utils.rng import spawn_seeds
+
+        service = FleetService(_config(), _env(), seed=4)
+        for n in (3, 1, 4):
+            service.arrive(n)
+        session_root = spawn_seeds(4, 2)[1]
+        reference = _env()
+        want = [reference.new_user(s) for n in (3, 1, 4) for s in spawn_seeds(session_root, n)]
+        got = service.fleet.sessions
+        assert len(got) == len(want) == 8
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g.preference, w.preference)
+            assert g._rng.bit_generator.state == w._rng.bit_generator.state
+        assert [a.agent_id for a in service.fleet.agents] == [f"agent-{k}" for k in range(1, 9)]
+
 
 class TestSubsetVsRebuild:
     def test_subset_request_bit_identical_to_ephemeral_rebuild(self):

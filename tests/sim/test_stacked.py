@@ -144,3 +144,54 @@ class TestStackedStepEquivalence:
         before = pols[0].A_inv.copy()
         stacked.update(np.eye(4)[:3], np.ones(3, dtype=np.intp), np.ones(3))
         np.testing.assert_array_equal(before, pols[0].A_inv)
+
+
+class TestTiebreakRows:
+    """The stacked tie-break is the scalar helper, row by row."""
+
+    @staticmethod
+    def _check(scores):
+        from repro.bandits import argmax_random_tiebreak
+        from repro.sim.stacked import _tiebreak_rows
+
+        rngs = [np.random.default_rng(i) for i in range(scores.shape[0])]
+        twins = [np.random.default_rng(i) for i in range(scores.shape[0])]
+        actions = _tiebreak_rows(scores, rngs)
+        want = [argmax_random_tiebreak(row, g) for row, g in zip(scores, twins)]
+        assert actions.tolist() == want
+        for g, w in zip(rngs, twins):
+            assert g.bit_generator.state == w.bit_generator.state
+        return actions
+
+    def test_mixed_tied_and_untied_rows(self):
+        rng = np.random.default_rng(0)
+        scores = rng.integers(0, 3, size=(300, 10)).astype(np.float64)
+        scores[::7] = rng.random((len(scores[::7]), 10))  # untied rows
+        self._check(scores)
+
+    def test_all_rows_tied(self):
+        self._check(np.ones((50, 6)))
+
+    def test_no_row_tied(self):
+        self._check(np.random.default_rng(1).random((40, 5)))
+
+    def test_single_row(self):
+        self._check(np.array([[0.5, 0.9, 0.9, 0.1]]))
+        self._check(np.array([[0.5, 0.9, 0.2, 0.1]]))
+
+    def test_ties_at_first_and_last_column(self):
+        scores = np.array([[2.0, 1.0, 1.0, 2.0], [2.0, 2.0, 0.0, 0.0], [0.0, 0.0, 3.0, 3.0]] * 20)
+        actions = self._check(scores)
+        assert set(actions[0::3].tolist()) == {0, 3}
+        assert set(actions[1::3].tolist()) == {0, 1}
+        assert set(actions[2::3].tolist()) == {2, 3}
+
+    def test_ucb1_infinite_scores(self):
+        scores = np.array(
+            [[np.inf, 0.3, np.inf], [np.inf] * 3, [0.1, np.inf, 0.2], [0.4, 0.4, 0.1]] * 10
+        )
+        self._check(scores)
+
+    def test_ucb1_population_scores(self):
+        stacked = stack_policies(_population(UCB1, 25, seed=4))
+        self._check(stacked.scores())

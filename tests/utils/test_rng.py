@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from repro.utils.exceptions import ValidationError
-from repro.utils.rng import ensure_rng, iter_rngs, permutation_from, spawn_rngs, spawn_seeds
+from repro.utils.rng import (
+    ensure_rng,
+    iter_rngs,
+    permutation_from,
+    spawn_generators,
+    spawn_rngs,
+    spawn_seeds,
+)
 
 
 class TestEnsureRng:
@@ -126,3 +133,120 @@ class TestSpawnOrderRegression:
             np.testing.assert_array_equal(
                 np.random.default_rng(x).random(8), np.random.default_rng(y).random(8)
             )
+
+
+def _numpy_children(parent, n, *, start=0, suffix=()):
+    """The reference: each generator seeded through numpy's own SeedSequence."""
+    return [
+        np.random.default_rng(
+            np.random.SeedSequence(
+                parent.entropy, spawn_key=parent.spawn_key + (start + i,) + suffix
+            )
+        )
+        for i in range(n)
+    ]
+
+
+def _assert_same_streams(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.bit_generator.state == w.bit_generator.state
+        np.testing.assert_array_equal(g.random(4), w.random(4))
+        np.testing.assert_array_equal(g.integers(0, 2**63, 3), w.integers(0, 2**63, 3))
+
+
+ROOTS = {
+    "small-int": lambda: np.random.SeedSequence(5),
+    "128-bit": lambda: np.random.SeedSequence(2**127 + 0x1234_5678_9ABC),
+    "none": lambda: np.random.SeedSequence(),
+    "wide-entropy": lambda: np.random.SeedSequence(2**200 + 3),
+    "word-list": lambda: np.random.SeedSequence([1, 2, 3, 4, 5, 6]),
+    "nested-key": lambda: np.random.SeedSequence(7, spawn_key=(3, 1)),
+    "multiword-key": lambda: np.random.SeedSequence(7, spawn_key=(2**40 + 9,)),
+    "spawned-child": lambda: np.random.SeedSequence(9).spawn(2)[1],
+    "uint32-array": lambda: np.random.SeedSequence(np.arange(6, dtype=np.uint32) * 7),
+    "int64-array": lambda: np.random.SeedSequence(np.array([1, 2**33, 0], np.int64)),
+    "numpy-int": lambda: np.random.SeedSequence(np.uint64(2**40), spawn_key=(np.int64(3),)),
+    "zero-words": lambda: np.random.SeedSequence([0, 0, 0, 0, 0], spawn_key=(0, 0)),
+}
+
+
+class TestSpawnGenerators:
+    """spawn_generators is numpy's SeedSequence tree, computed in bulk."""
+
+    @pytest.mark.parametrize("root", list(ROOTS.values()), ids=list(ROOTS))
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    @pytest.mark.parametrize("start", [0, 1000])
+    @pytest.mark.parametrize("suffix", [(), (0,), (1,), (2, 7)])
+    def test_matches_numpy_seed_sequence(self, root, n, start, suffix):
+        parent = root()
+        _assert_same_streams(
+            spawn_generators(parent, n, start=start, suffix=suffix),
+            _numpy_children(parent, n, start=start, suffix=suffix),
+        )
+
+    def test_last_counter_word(self):
+        parent = np.random.SeedSequence(11)
+        _assert_same_streams(
+            spawn_generators(parent, 2, start=2**32 - 2),
+            _numpy_children(parent, 2, start=2**32 - 2),
+        )
+
+    def test_int_and_none_parents_are_coerced(self):
+        _assert_same_streams(spawn_generators(5, 3), _numpy_children(np.random.SeedSequence(5), 3))
+        assert len(spawn_generators(None, 2)) == 2
+
+    def test_equals_spawning_from_the_root(self):
+        root = np.random.SeedSequence(1234)
+        root.spawn(3)
+        bulk = spawn_generators(root, 4, start=root.n_children_spawned)
+        _assert_same_streams(bulk, [np.random.default_rng(s) for s in root.spawn(4)])
+
+    def test_spawned_children_are_numpys(self):
+        parent = np.random.SeedSequence(2**100 + 1)
+        (g,) = spawn_generators(parent, 1, start=4, suffix=(1,))
+        (w,) = _numpy_children(parent, 1, start=4, suffix=(1,))
+        # twice: the second spawn continues the first's counter
+        for _ in range(2):
+            _assert_same_streams(g.spawn(3), w.spawn(3))
+        seq = g.bit_generator.seed_seq
+        assert seq.entropy == parent.entropy
+        assert seq.spawn_key == (4, 1)
+        assert seq.n_children_spawned == 6
+        assert spawn_seeds(g, 1)[0].spawn_key == (4, 1, 6)
+
+    def test_pickles_as_numpy_seed_sequence(self):
+        import pickle
+
+        parent = np.random.SeedSequence(77)
+        g = spawn_generators(parent, 3, start=2)[1]
+        g.random(5)
+        h = pickle.loads(pickle.dumps(g))
+        seq = h.bit_generator.seed_seq
+        assert type(seq) is np.random.SeedSequence
+        assert seq.spawn_key == (3,)
+        assert h.bit_generator.state == g.bit_generator.state
+        _assert_same_streams(h.spawn(2), g.spawn(2))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(n=1, start=2**32),
+            dict(n=2, start=2**32 - 1),
+            dict(n=1, suffix=(2**32,)),
+            dict(n=1, suffix=(-1,)),
+            dict(n=-1),
+            dict(n=1, start=-1),
+        ],
+    )
+    def test_out_of_range_key_words_raise(self, kwargs):
+        with pytest.raises(ValidationError):
+            spawn_generators(np.random.SeedSequence(0), **kwargs)
+
+    def test_other_pool_sizes_raise(self):
+        with pytest.raises(ValidationError):
+            spawn_generators(np.random.SeedSequence(0, pool_size=8), 1)
+
+    def test_generator_parent_raises(self):
+        with pytest.raises(ValidationError):
+            spawn_generators(np.random.default_rng(0), 1)
